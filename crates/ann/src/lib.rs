@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
 
@@ -655,9 +656,9 @@ impl HnswIndex {
     }
 
     /// Writes the serialized index to `path` atomically: the bytes go
-    /// to a temp sibling first, then a rename publishes them, so a
-    /// crashed writer leaves either the old file or none — never a torn
-    /// frame at the final path.
+    /// to a temp sibling first and are fsynced, then a rename publishes
+    /// them, so a crashed writer leaves either the old file or none —
+    /// never a torn frame at the final path.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), AnnError> {
         let path = path.as_ref();
         let file_name = path
@@ -666,7 +667,11 @@ impl HnswIndex {
         let mut tmp_name = file_name.to_os_string();
         tmp_name.push(".tmp");
         let tmp = path.with_file_name(tmp_name);
-        std::fs::write(&tmp, self.to_bytes())?;
+        {
+            let mut f = std::fs::File::create(&tmp)?;
+            f.write_all(&self.to_bytes())?;
+            f.sync_all()?;
+        }
         std::fs::rename(&tmp, path)?;
         Ok(())
     }

@@ -179,10 +179,7 @@ fn build_router(cfg: &LoadCfg, n: usize, ann_threshold: usize) -> (Router, u64) 
         .unwrap_or_else(|e| fail(&format!("admitting {n} rows: {e}")));
     let router = Router::new(
         sharded,
-        RouterConfig {
-            hedge: false,
-            ..RouterConfig::from_env().unwrap_or_else(|e| fail(&format!("bad router knob: {e}")))
-        },
+        RouterConfig::from_env().unwrap_or_else(|e| fail(&format!("bad router knob: {e}"))),
     );
     let build_ms = if ann_threshold == usize::MAX {
         0

@@ -1,6 +1,6 @@
 //! Sharded-router chaos smoke + latency benchmark, for CI (DESIGN.md §15).
 //!
-//! Four legs, all exiting non-zero on any contract breach or panic:
+//! Three legs, all exiting non-zero on any contract breach or panic:
 //!
 //! 1. **Identity** — a healthy [`Router`] over a geo-partitioned
 //!    [`ShardedStore`] must answer exact and approximate k-NN bitwise
@@ -12,11 +12,7 @@
 //!    full-coverage, typed-partial, or a typed `PartialCoverage` shed.
 //!    Clearing the faults must recover to full coverage through the
 //!    breakers' probed half-open path.
-//! 3. **Hedge** — p50/p99 of routed k-NN with a per-query injected slow
-//!    shard, hedging off vs on. The hedged tail must beat the unhedged
-//!    tail (the slow primary is cancelled by a duplicate on a healthy
-//!    generation) and at least one hedge must actually fire.
-//! 4. **Batch** — `knn_batch` must match per-query `knn` answers exactly
+//! 3. **Batch** — `knn_batch` must match per-query `knn` answers exactly
 //!    while amortizing admission and deadline checks.
 //!
 //! Emits machine-readable rows through the bench report machinery: run
@@ -93,21 +89,10 @@ fn build_router(net: &RoadNetwork, rcfg: RouterConfig) -> Router {
     Router::new(sharded, rcfg)
 }
 
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
 /// Leg 1: bitwise identity against the combined store at 1 and 4 readers.
 fn identity_leg(net: &RoadNetwork, rcfg: &RouterConfig, table: &mut Table) {
     let n = net.num_segments();
-    let router = build_router(
-        net,
-        RouterConfig {
-            hedge: false,
-            ..*rcfg
-        },
-    );
+    let router = build_router(net, *rcfg);
     let single = EmbeddingStore::for_network(net, DIM, serve_cfg())
         .unwrap_or_else(|e| fail(&format!("building combined store: {e}")));
     single
@@ -180,7 +165,6 @@ fn chaos_leg(net: &RoadNetwork, rcfg: &RouterConfig, table: &mut Table) {
     let router = build_router(
         net,
         RouterConfig {
-            hedge: false,
             shard_retries: 1,
             shard_backoff: Duration::from_millis(1),
             breaker: BreakerConfig {
@@ -311,84 +295,10 @@ fn chaos_leg(net: &RoadNetwork, rcfg: &RouterConfig, table: &mut Table) {
     ]);
 }
 
-/// Leg 3: hedged vs unhedged tail latency against a slow shard.
-fn hedge_leg(net: &RoadNetwork, rcfg: &RouterConfig, table: &mut Table) {
-    let n = net.num_segments();
-    let delay_ms = 25u64;
-    let mut tails = Vec::new();
-    for hedge in [false, true] {
-        let router = build_router(
-            net,
-            RouterConfig {
-                hedge,
-                hedge_factor: 2.0,
-                ..*rcfg
-            },
-        );
-        let slow = router.sharded().num_shards() - 1;
-        // Warm the per-shard p99 estimators so hedging can arm.
-        for i in 0..64 {
-            router
-                .knn(i % n, 5, Deadline::unbounded())
-                .unwrap_or_else(|e| fail(&format!("warmup query: {e}")));
-        }
-        let mut samples = Vec::with_capacity(STORM_QUERIES);
-        for i in 0..STORM_QUERIES {
-            // One delayed attempt per query: the primary leg on `slow`
-            // stalls, the retry (or the hedge) lands on a clean slot.
-            router.inject_shard_fault(
-                slow,
-                Some(ShardFault {
-                    delay_ms,
-                    delay_queries: 1,
-                    ..ShardFault::default()
-                }),
-            );
-            let t0 = Instant::now();
-            let answer = router
-                .knn(i % n, 5, Deadline::unbounded())
-                .unwrap_or_else(|e| fail(&format!("hedge-leg query: {e}")));
-            samples.push(t0.elapsed());
-            ensure(answer.coverage.complete(), "slow shard cost coverage");
-        }
-        samples.sort();
-        let (p50, p99) = (percentile(&samples, 0.50), percentile(&samples, 0.99));
-        if hedge {
-            ensure(
-                router.hedges_fired() > 0,
-                "hedging on but no hedge ever fired",
-            );
-        }
-        tails.push(p99);
-        table.row(vec![
-            "hedge".to_string(),
-            format!(
-                "hedge={} slow_shard={delay_ms}ms",
-                if hedge { "on" } else { "off" }
-            ),
-            STORM_QUERIES.to_string(),
-            format!("hedges={}", router.hedges_fired()),
-            format!("{:.0}", p50.as_secs_f64() * 1e6),
-            format!("{:.0}", p99.as_secs_f64() * 1e6),
-            peak_rss_mb(),
-        ]);
-    }
-    ensure(
-        tails[1] < tails[0],
-        "hedged p99 did not beat the unhedged p99 against a slow shard",
-    );
-}
-
-/// Leg 4: batched queries match per-query answers.
+/// Leg 3: batched queries match per-query answers.
 fn batch_leg(net: &RoadNetwork, rcfg: &RouterConfig, table: &mut Table) {
     let n = net.num_segments();
-    let router = build_router(
-        net,
-        RouterConfig {
-            hedge: false,
-            ..*rcfg
-        },
-    );
+    let router = build_router(net, *rcfg);
     let ids: Vec<usize> = (0..STORM_QUERIES.min(n)).collect();
     let t0 = Instant::now();
     let batched = router
@@ -447,7 +357,6 @@ fn main() {
     );
     identity_leg(&net, &rcfg, &mut table);
     chaos_leg(&net, &rcfg, &mut table);
-    hedge_leg(&net, &rcfg, &mut table);
     batch_leg(&net, &rcfg, &mut table);
     table.print();
     eprintln!("[router_chaos_smoke] ok");

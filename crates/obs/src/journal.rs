@@ -147,14 +147,6 @@ pub enum Event {
         /// Consecutive typed failures observed at the transition.
         consecutive_failures: u32,
     },
-    /// The router fired a hedged duplicate request against a shard whose
-    /// primary attempt outlived its latency estimate.
-    HedgeFired {
-        /// The slow shard.
-        shard: usize,
-        /// The latency estimate (milliseconds) the primary exceeded.
-        after_ms: f64,
-    },
     /// A shard entered quarantine: its breaker opened and the router now
     /// routes around it.
     QuarantineEnter {
@@ -216,7 +208,6 @@ impl Event {
             Event::PipelineStage { .. } => "pipeline_stage",
             Event::ServeStale { .. } => "serve_stale",
             Event::BreakerTransition { .. } => "breaker_transition",
-            Event::HedgeFired { .. } => "hedge_fired",
             Event::QuarantineEnter { .. } => "quarantine_enter",
             Event::QuarantineExit { .. } => "quarantine_exit",
             Event::PartialCoverage { .. } => "partial_coverage",
@@ -364,10 +355,6 @@ impl TimedEvent {
                 w.field_str("from", from);
                 w.field_str("to", to);
                 w.field_u64("consecutive_failures", *consecutive_failures as u64);
-            }
-            Event::HedgeFired { shard, after_ms } => {
-                w.field_u64("shard", *shard as u64);
-                w.field_f64("after_ms", *after_ms);
             }
             Event::QuarantineEnter {
                 shard,
@@ -685,10 +672,6 @@ mod tests {
                 from: "closed".into(),
                 to: "open".into(),
                 consecutive_failures: 3,
-            },
-            Event::HedgeFired {
-                shard: 1,
-                after_ms: 4.25,
             },
             Event::QuarantineEnter {
                 shard: 2,

@@ -1,15 +1,11 @@
 //! Quantile estimation over fixed-boundary histogram buckets.
 //!
 //! One shared implementation of the Prometheus-style cumulative-bucket
-//! walk with linear interpolation, used by the serving router's hedge
-//! trigger (p99 of shard latency) and by the load generator's reported
-//! p50/p99 — so the number an operator reads off a benchmark table is
-//! computed by exactly the code that decides when to hedge.
-//!
-//! These are free functions over plain slices (not [`crate::Histogram`]
-//! methods) on purpose: the router must estimate quantiles even while
-//! telemetry is disabled, and [`crate::Histogram`] recording is gated
-//! on [`crate::enabled`].
+//! walk with linear interpolation, behind
+//! [`crate::HistogramSnapshot::quantile`], plus the bucket lookup that
+//! [`crate::Histogram`] records with. They are free functions over plain
+//! slices, so a bucketed count kept outside a [`crate::Histogram`] reads
+//! the same quantile an exported histogram would.
 
 /// Index of the bucket `v` falls in for strictly increasing upper
 /// `boundaries`: the first boundary `>= v`, or the overflow bucket

@@ -646,7 +646,7 @@ impl Pipeline {
 
 /// Writes `embeddings` to `path` atomically: tmp sibling, optional
 /// injected tear, read-back validation pinning shape and finiteness,
-/// fsync-backed rename. The tear is injected between write and
+/// fsync of the tmp, rename. The tear is injected between write and
 /// validation, so the validator — not luck — is what keeps torn bytes
 /// from reaching the final path.
 fn export_artifact(path: &Path, embeddings: &Tensor, tear: bool) -> Result<(), PipelineError> {
@@ -679,6 +679,14 @@ fn export_artifact(path: &Path, embeddings: &Tensor, tear: bool) -> Result<(), P
             finite: true,
         },
     )?;
+    fs::OpenOptions::new()
+        .write(true)
+        .open(&tmp)
+        .and_then(|f| f.sync_all())
+        .map_err(|source| PipelineError::Io {
+            context: "syncing artifact tmp",
+            source,
+        })?;
     fs::rename(&tmp, path).map_err(|source| PipelineError::Io {
         context: "publishing artifact",
         source,

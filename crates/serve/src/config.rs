@@ -119,19 +119,6 @@ fn env_ann_threshold(var: &'static str, default: usize) -> Result<usize, ConfigE
     )
 }
 
-fn env_bool(var: &'static str, default: bool) -> Result<bool, ConfigError> {
-    env_knob(
-        var,
-        default,
-        "must be one of 0/1/false/true",
-        |raw| match raw.to_ascii_lowercase().as_str() {
-            "0" | "false" => Some(false),
-            "1" | "true" => Some(true),
-            _ => None,
-        },
-    )
-}
-
 /// Knobs of an [`crate::EmbeddingStore`].
 ///
 /// The bench binaries read these from `SARN_SERVE_*` environment
@@ -270,16 +257,14 @@ pub struct RouterConfig {
     pub min_shards: usize,
     /// Per-shard circuit-breaker thresholds.
     pub breaker: BreakerConfig,
-    /// Retries per shard after the first failed attempt (deadline and
-    /// shed failures are not retried — the budget is already gone).
+    /// Retries per shard after the first failed attempt. A deadline
+    /// failure (the budget is gone) and an unknown segment (no retry can
+    /// succeed) are terminal; every other typed failure is retried after
+    /// the backoff, a shard's shed [`crate::ServeError::Overloaded`]
+    /// included.
     pub shard_retries: usize,
     /// Sleep before the first per-shard retry; doubles per retry.
     pub shard_backoff: Duration,
-    /// Fire a hedged duplicate request when a shard runs past
-    /// `hedge_factor` times its tracked p99 latency.
-    pub hedge: bool,
-    /// Multiple of the p99 latency estimate after which a hedge fires.
-    pub hedge_factor: f64,
     /// In-flight ceiling across the whole router (checked once per
     /// fan-out, on top of the per-shard store ceilings).
     pub router_max_inflight: usize,
@@ -293,8 +278,6 @@ impl Default for RouterConfig {
             breaker: BreakerConfig::default(),
             shard_retries: 1,
             shard_backoff: Duration::from_millis(2),
-            hedge: true,
-            hedge_factor: 4.0,
             router_max_inflight: 256,
         }
     }
@@ -307,8 +290,7 @@ impl RouterConfig {
     /// `SARN_SERVE_BREAKER_THRESHOLD` (>= 1),
     /// `SARN_SERVE_BREAKER_COOLDOWN_MS` (>= 1),
     /// `SARN_SERVE_SHARD_RETRIES` (`0` = no retries),
-    /// `SARN_SERVE_SHARD_BACKOFF_MS` (>= 1), `SARN_SERVE_HEDGE`
-    /// (`0/1/false/true`), `SARN_SERVE_HEDGE_FACTOR` (finite, > 0), and
+    /// `SARN_SERVE_SHARD_BACKOFF_MS` (>= 1), and
     /// `SARN_SERVE_ROUTER_MAX_INFLIGHT` (>= 1). Same contract as
     /// [`ServeConfig::from_env`]: malformed values are typed errors
     /// naming the variable, never silent defaults.
@@ -335,8 +317,6 @@ impl RouterConfig {
                 d.shard_backoff.as_millis() as u64,
                 1,
             )?),
-            hedge: env_bool("SARN_SERVE_HEDGE", d.hedge)?,
-            hedge_factor: env_f64_pos("SARN_SERVE_HEDGE_FACTOR", d.hedge_factor)?,
             router_max_inflight: env_usize_min(
                 "SARN_SERVE_ROUTER_MAX_INFLIGHT",
                 d.router_max_inflight,
@@ -395,7 +375,6 @@ mod tests {
         assert!(d.ann_threshold >= 1);
         let r = RouterConfig::default();
         assert!(r.min_shards <= r.num_shards);
-        assert!(r.hedge_factor > 1.0);
         assert!(r.breaker.failure_threshold >= 1);
     }
 
@@ -518,9 +497,6 @@ mod tests {
             ("SARN_SERVE_BREAKER_COOLDOWN_MS", "-10"),
             ("SARN_SERVE_SHARD_RETRIES", "-1"),
             ("SARN_SERVE_SHARD_BACKOFF_MS", "0"),
-            ("SARN_SERVE_HEDGE", "maybe"),
-            ("SARN_SERVE_HEDGE_FACTOR", "0"),
-            ("SARN_SERVE_HEDGE_FACTOR", "inf"),
             ("SARN_SERVE_ROUTER_MAX_INFLIGHT", "0"),
         ];
         for (var, bad) in cases {
@@ -532,7 +508,7 @@ mod tests {
     }
 
     #[test]
-    fn router_overrides_parse_and_bools_accept_both_spellings() {
+    fn router_overrides_parse() {
         let cfg = with_env(
             &[
                 ("SARN_SERVE_SHARDS", "8"),
@@ -541,8 +517,6 @@ mod tests {
                 ("SARN_SERVE_BREAKER_COOLDOWN_MS", "50"),
                 ("SARN_SERVE_SHARD_RETRIES", "0"),
                 ("SARN_SERVE_SHARD_BACKOFF_MS", "1"),
-                ("SARN_SERVE_HEDGE", "false"),
-                ("SARN_SERVE_HEDGE_FACTOR", "2.5"),
                 ("SARN_SERVE_ROUTER_MAX_INFLIGHT", "32"),
             ],
             || RouterConfig::from_env().expect("valid overrides"),
@@ -552,13 +526,8 @@ mod tests {
         assert_eq!(cfg.breaker.failure_threshold, 2);
         assert_eq!(cfg.breaker.open_cooldown, Duration::from_millis(50));
         assert_eq!(cfg.shard_retries, 0);
-        assert!(!cfg.hedge);
-        assert_eq!(cfg.hedge_factor, 2.5);
+        assert_eq!(cfg.shard_backoff, Duration::from_millis(1));
         assert_eq!(cfg.router_max_inflight, 32);
-        let on = with_env(&[("SARN_SERVE_HEDGE", "1")], || {
-            RouterConfig::from_env().expect("numeric bool")
-        });
-        assert!(on.hedge);
     }
 
     #[test]

@@ -43,10 +43,10 @@
 //! fronts the fan-out with per-shard [`CircuitBreaker`]s
 //! (closed → open → half-open with a single probed recovery slot),
 //! [`Deadline::split`] budget slices, bounded doubling-backoff retries
-//! plus one hedged duplicate against p99-slow shards, and typed
+//! (every shard attempt runs inline on the calling thread), and typed
 //! [`Coverage`] reports: failed shards degrade the answer
-//! (answered / degraded-to-approx / quarantined / failed per shard)
-//! instead of failing it, until fewer than `min_shards` contribute
+//! (answered / degraded-to-ANN or -approx / quarantined / failed per
+//! shard) instead of failing it, until fewer than `min_shards` contribute
 //! ([`ServeError::PartialCoverage`]). With every shard healthy the merged
 //! answer is bitwise identical to the single combined store's.
 //!

@@ -1,7 +1,8 @@
-//! The fault-isolating shard router: breakers, budgets, hedges, and
+//! The fault-isolating shard router: breakers, budgets, retries, and
 //! typed partial-coverage answers over a [`ShardedStore`].
 //!
-//! Every fan-out query runs the same per-shard pipeline:
+//! Every fan-out query visits the shards in order, inline on the calling
+//! thread, and runs the same per-shard pipeline:
 //!
 //! 1. **Breaker gate** — the shard's [`CircuitBreaker`] admits, rejects
 //!    (quarantine: the router routes around the shard and says so in the
@@ -10,21 +11,21 @@
 //!    [`Deadline::split`] so one slow shard can burn only its slice of
 //!    the budget, with bounded doubling-backoff retries on typed
 //!    failures.
-//! 3. **Hedge** — when hedging is on and the shard's tracked p99 is
-//!    warm, an attempt that outlives `p99 × hedge_factor` gets a
-//!    duplicate fired against the same shard; first answer wins, the
-//!    straggler is abandoned (its send fails harmlessly).
-//! 4. **Degrade** — a shard whose exact leg exhausts retries walks the
+//! 3. **Degrade** — a shard whose exact leg exhausts retries walks the
 //!    degrade ladder: first the *ANN* leg (the shard's HNSW index, when
 //!    one is ready — approximate neighbors at full candidate coverage),
 //!    then the *grid-approximate* leg (grid candidates only, a few rows
 //!    instead of a scan), each reported as degraded coverage.
 //!
+//! The router fires no hedged duplicates: its shards are in-process
+//! scans on the caller's own cores, so a duplicate attempt would repeat
+//! the same work rather than escape a slow replica.
+//!
 //! Shards that still fail are dropped from the answer rather than
 //! failing it: the response carries a typed [`Coverage`] report
 //! (answered / degraded / quarantined / failed per shard) and only falls
 //! to a typed [`ServeError::PartialCoverage`] when fewer than
-//! `min_shards` contributed. Every breaker transition, hedge, quarantine
+//! `min_shards` contributed. Every breaker transition, quarantine
 //! boundary, and partial answer is journaled and counted through
 //! `sarn-obs`.
 //!
@@ -36,8 +37,7 @@
 //! neighbor list (see `tests/sys/tests/router_sharded.rs`).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::breaker::{Admission, BreakerState, CircuitBreaker, Transition};
@@ -45,36 +45,29 @@ use crate::config::{LoadFault, RouterConfig};
 use crate::deadline::Deadline;
 use crate::error::ServeError;
 use crate::shard::ShardedStore;
-use crate::store::{top_k, EmbeddingStore, HealthReport, IndexState, ServeState, ShardHealth};
-
-/// Recovers a poisoned mutex (same contract as the store's: everything
-/// behind these locks is coherent under replacement).
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use crate::store::{
+    lock_recovering, top_k, EmbeddingStore, HealthReport, IndexState, ServeState, ShardHealth,
+    Ticket,
+};
 
 /// One fan-out leg: the shard runtime plus, on the approximate path,
 /// the local rows it scores (`None` = full scan).
-type Leg = (Arc<ShardRuntime>, Option<Arc<Vec<usize>>>);
+type Leg<'a> = (&'a ShardRuntime, Option<Vec<usize>>);
 
 /// Deterministic, test-only sabotage of one shard's *query* path — the
-/// serving analogue of [`LoadFault`], driving the chaos tests: latency
-/// inflation, transient or sticky typed errors, forced staleness.
-/// Installed with [`Router::inject_shard_fault`]; reload corruption is
-/// injected separately through the shard store's own [`LoadFault`].
+/// serving analogue of [`LoadFault`], driving the chaos tests: transient
+/// or sticky typed errors, forced staleness. Installed with
+/// [`Router::inject_shard_fault`]; reload corruption is injected
+/// separately through the shard store's own [`LoadFault`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardFault {
     /// The next this many query attempts fail with an injected typed
-    /// error (each attempt decrements, so retry/hedge duplicates consume
-    /// the fault and can land on a healthy slot).
+    /// error (each attempt decrements, so a retry consumes the fault and
+    /// can land on a healthy slot).
     pub fail_queries: u32,
     /// When set, `fail_queries` never decrements: the shard fails every
     /// attempt until the fault is cleared — the breaker-exhaustion case.
     pub sticky: bool,
-    /// Sleep injected into the next `delay_queries` attempts.
-    pub delay_ms: u64,
-    /// How many attempts `delay_ms` applies to (`u32::MAX` ≈ all).
-    pub delay_queries: u32,
     /// Health reports this shard as [`ServeState::Stale`] regardless of
     /// its generation's real age.
     pub force_stale: bool,
@@ -143,56 +136,6 @@ pub struct RoutedKnn {
     pub coverage: Coverage,
 }
 
-/// Bucketed p99 latency estimate for one shard, feeding the hedge
-/// trigger: the standard log-spaced latency buckets
-/// ([`sarn_obs::latency_boundaries`]) with lock-free atomic counts, read
-/// through the shared [`sarn_obs::quantile_from_buckets`] estimator (the
-/// same cumulative-bucket walk the exported histograms use — and, unlike
-/// [`sarn_obs::Histogram`], recording here is *not* gated on the
-/// telemetry flag: hedging must work with telemetry off). Stays `None`
-/// (hedging disarmed) until enough samples make a p99 meaningful.
-#[derive(Debug)]
-struct LatencyTracker {
-    boundaries: Vec<f64>,
-    counts: Vec<AtomicU64>,
-    total: AtomicU64,
-}
-
-impl Default for LatencyTracker {
-    fn default() -> Self {
-        let boundaries = sarn_obs::latency_boundaries();
-        let counts = (0..=boundaries.len()).map(|_| AtomicU64::new(0)).collect();
-        Self {
-            boundaries,
-            counts,
-            total: AtomicU64::new(0),
-        }
-    }
-}
-
-impl LatencyTracker {
-    const MIN_SAMPLES: u64 = 16;
-
-    fn record(&self, seconds: f64) {
-        let idx = sarn_obs::bucket_index(&self.boundaries, seconds);
-        self.counts[idx].fetch_add(1, AtomicOrdering::Relaxed);
-        self.total.fetch_add(1, AtomicOrdering::Relaxed);
-    }
-
-    fn p99(&self) -> Option<Duration> {
-        if self.total.load(AtomicOrdering::Relaxed) < Self::MIN_SAMPLES {
-            return None;
-        }
-        let counts: Vec<u64> = self
-            .counts
-            .iter()
-            .map(|c| c.load(AtomicOrdering::Relaxed))
-            .collect();
-        sarn_obs::quantile_from_buckets(&self.boundaries, &counts, 0.99)
-            .map(|s| Duration::from_secs_f64(s.max(0.0)))
-    }
-}
-
 /// Everything the router keeps per shard.
 struct ShardRuntime {
     index: usize,
@@ -200,45 +143,63 @@ struct ShardRuntime {
     globals: Arc<Vec<usize>>,
     breaker: CircuitBreaker,
     fault: Mutex<Option<ShardFault>>,
-    latency: LatencyTracker,
 }
 
 impl ShardRuntime {
-    /// Consumes one attempt's worth of injected fault: returns the typed
-    /// error to fail with, after applying any injected delay.
+    /// Consumes one attempt's worth of injected fault: the typed error to
+    /// fail this attempt with, if any.
     fn apply_fault(&self) -> Result<(), ServeError> {
-        let (delay_ms, fail) = {
-            let mut guard = lock_recovering(&self.fault);
-            match guard.as_mut() {
-                None => (0, false),
-                Some(f) => {
-                    let delay = if f.delay_queries > 0 {
-                        f.delay_queries = f.delay_queries.saturating_sub(1);
-                        f.delay_ms
-                    } else {
-                        0
-                    };
-                    let fail = f.fail_queries > 0;
-                    if fail && !f.sticky {
-                        f.fail_queries -= 1;
-                    }
-                    (delay, fail)
-                }
-            }
+        let mut guard = lock_recovering(&self.fault);
+        let Some(f) = guard.as_mut().filter(|f| f.fail_queries > 0) else {
+            return Ok(());
         };
-        if delay_ms > 0 {
-            std::thread::sleep(Duration::from_millis(delay_ms));
+        if !f.sticky {
+            f.fail_queries -= 1;
         }
-        if fail {
-            return Err(ServeError::Load(sarn_tensor::IoError::Io(
-                std::io::Error::other("injected shard fault"),
-            )));
-        }
-        Ok(())
+        Err(ServeError::Load(sarn_tensor::IoError::Io(
+            std::io::Error::other("injected shard fault"),
+        )))
     }
 
     fn forced_stale(&self) -> bool {
         lock_recovering(&self.fault).is_some_and(|f| f.force_stale)
+    }
+
+    /// One attempt at this shard's query leg: consume one fault-injection
+    /// step, run the leg (full scan, or the explicit `rows`), map local
+    /// ids back to global.
+    fn attempt(
+        &self,
+        rows: Option<&[usize]>,
+        query: &[f32],
+        query_norm: f32,
+        exclude: Option<usize>,
+        k: usize,
+        slice: Deadline,
+    ) -> Result<ShardPartial, ServeError> {
+        self.apply_fault()?;
+        match rows {
+            None => {
+                let knn = self
+                    .store
+                    .knn_vector(query, query_norm, exclude, k, slice)?;
+                Ok(self.partial(&knn.neighbors, knn.generation))
+            }
+            Some(locals) => {
+                let (scored, generation) = self
+                    .store
+                    .score_vector(query, query_norm, locals, exclude, slice)?;
+                Ok(self.partial(&scored, generation))
+            }
+        }
+    }
+
+    /// Maps a shard-local `(row, score)` answer onto global segment ids.
+    fn partial(&self, local: &[(usize, f32)], generation: u64) -> ShardPartial {
+        ShardPartial {
+            pairs: local.iter().map(|&(l, s)| (self.globals[l], s)).collect(),
+            generation,
+        }
     }
 }
 
@@ -249,38 +210,23 @@ struct ShardPartial {
     generation: u64,
 }
 
-/// A per-shard attempt, cloneable into hedge threads.
-type AttemptFn = Arc<dyn Fn() -> Result<ShardPartial, ServeError> + Send + Sync>;
-
 enum ShardResult {
     Answered(ShardPartial),
     Quarantined,
     Failed(ServeError),
 }
 
-/// RAII router admission slot (on top of the per-shard store ceilings).
-struct RouterTicket<'a> {
-    inflight: &'a AtomicUsize,
-}
-
-impl Drop for RouterTicket<'_> {
-    fn drop(&mut self) {
-        self.inflight.fetch_sub(1, AtomicOrdering::AcqRel);
-    }
-}
-
 /// The shard router: fronts a [`ShardedStore`] with per-shard circuit
-/// breakers, deadline-budget fan-out, hedged retries, and typed
+/// breakers, deadline-budget fan-out, bounded retries, and typed
 /// partial-coverage degradation. See the module docs for the pipeline.
 pub struct Router {
     sharded: ShardedStore,
     rcfg: RouterConfig,
-    runtimes: Vec<Arc<ShardRuntime>>,
+    runtimes: Vec<ShardRuntime>,
     inflight: AtomicUsize,
     served: AtomicU64,
     shed: AtomicU64,
     partial: AtomicU64,
-    hedges: AtomicU64,
     started: Instant,
 }
 
@@ -294,15 +240,12 @@ impl Router {
             .shards()
             .iter()
             .enumerate()
-            .map(|(index, shard)| {
-                Arc::new(ShardRuntime {
-                    index,
-                    store: shard.store.clone(),
-                    globals: shard.globals.clone(),
-                    breaker: CircuitBreaker::new(cfg.breaker),
-                    fault: Mutex::new(None),
-                    latency: LatencyTracker::default(),
-                })
+            .map(|(index, shard)| ShardRuntime {
+                index,
+                store: shard.store.clone(),
+                globals: shard.globals.clone(),
+                breaker: CircuitBreaker::new(cfg.breaker),
+                fault: Mutex::new(None),
             })
             .collect();
         Self {
@@ -313,7 +256,6 @@ impl Router {
             served: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             partial: AtomicU64::new(0),
-            hedges: AtomicU64::new(0),
             started: Instant::now(),
         }
     }
@@ -338,9 +280,12 @@ impl Router {
         self.runtimes[shard].breaker.state()
     }
 
-    /// Hedged duplicates fired over the router's lifetime.
+    /// Hedged duplicates fired over the router's lifetime: always 0,
+    /// because every shard attempt runs inline and none is duplicated.
+    /// Kept so callers that report a hedge rate (the benchmark's
+    /// `serve.router.hedges_per_kq`) still build and read zero.
     pub fn hedges_fired(&self) -> u64 {
-        self.hedges.load(AtomicOrdering::Relaxed)
+        0
     }
 
     /// Answers that shipped with incomplete coverage.
@@ -358,31 +303,16 @@ impl Router {
         self.runtimes[shard].store.inject_fault(fault);
     }
 
-    fn try_ticket(&self) -> Result<RouterTicket<'_>, ServeError> {
-        let mut cur = self.inflight.load(AtomicOrdering::Acquire);
-        loop {
-            if cur >= self.rcfg.router_max_inflight {
-                self.shed.fetch_add(1, AtomicOrdering::Relaxed);
-                sarn_obs::counter("sarn_serve_router_shed_total").inc();
-                return Err(ServeError::Overloaded {
-                    inflight: cur,
-                    max_inflight: self.rcfg.router_max_inflight,
-                });
+    fn try_ticket(&self) -> Result<Ticket<'_>, ServeError> {
+        let max_inflight = self.rcfg.router_max_inflight;
+        Ticket::claim(&self.inflight, max_inflight).map_err(|inflight| {
+            self.shed.fetch_add(1, AtomicOrdering::Relaxed);
+            sarn_obs::counter("sarn_serve_router_shed_total").inc();
+            ServeError::Overloaded {
+                inflight,
+                max_inflight,
             }
-            match self.inflight.compare_exchange_weak(
-                cur,
-                cur + 1,
-                AtomicOrdering::AcqRel,
-                AtomicOrdering::Acquire,
-            ) {
-                Ok(_) => {
-                    return Ok(RouterTicket {
-                        inflight: &self.inflight,
-                    })
-                }
-                Err(actual) => cur = actual,
-            }
-        }
+        })
     }
 
     // ---- per-shard machinery --------------------------------------------
@@ -413,104 +343,20 @@ impl Router {
         }
     }
 
-    /// One attempt, hedged: inline when hedging is off or the latency
-    /// estimate is cold; otherwise the primary runs on a worker thread
-    /// and a duplicate fires after `p99 × hedge_factor`, first answer
-    /// winning. Stragglers are detached — their send to the dropped
-    /// channel fails harmlessly — so a slow primary cannot hold the
-    /// request hostage, which is the whole point of hedging.
-    ///
-    /// Returns the outcome plus whether a hedge fired. Hedged calls are
-    /// excluded from the latency estimator: their measured wait is the
-    /// hedge threshold itself, and feeding it back would double the
-    /// threshold on every hedge until hedging disarmed against the very
-    /// shard it is protecting the tail from.
-    fn run_hedged(
-        &self,
-        rt: &Arc<ShardRuntime>,
-        attempt: &AttemptFn,
-        deadline: &Deadline,
-    ) -> (Result<ShardPartial, ServeError>, bool) {
-        let threshold = if self.rcfg.hedge {
-            rt.latency
-                .p99()
-                .map(|p| p.mul_f64(self.rcfg.hedge_factor.max(1.0)))
-        } else {
-            None
-        };
-        let Some(threshold) = threshold else {
-            return (attempt(), false);
-        };
-        let threshold = threshold.max(Duration::from_micros(50));
-        let (tx, rx) = mpsc::channel();
-        let primary = attempt.clone();
-        let tx1 = tx.clone();
-        std::thread::spawn(move || {
-            let _ = tx1.send(primary());
-        });
-        match rx.recv_timeout(threshold) {
-            Ok(res) => (res, false),
-            Err(RecvTimeoutError::Timeout) => {
-                self.hedges.fetch_add(1, AtomicOrdering::Relaxed);
-                sarn_obs::counter("sarn_serve_hedge_total").inc();
-                sarn_obs::record(sarn_obs::Event::HedgeFired {
-                    shard: rt.index,
-                    after_ms: threshold.as_secs_f64() * 1e3,
-                });
-                let hedge = attempt.clone();
-                std::thread::spawn(move || {
-                    let _ = tx.send(hedge());
-                });
-                // Wait out the rest of this shard's budget slice for
-                // whichever copy lands first (unbounded budgets get a
-                // generous cap so a doubly-stuck shard cannot wedge us).
-                let wait = deadline
-                    .remaining()
-                    .unwrap_or(Duration::from_secs(5))
-                    .max(threshold);
-                let res = match rx.recv_timeout(wait) {
-                    Ok(res) => res,
-                    Err(_) => Err(ServeError::DeadlineExceeded {
-                        elapsed: deadline.elapsed(),
-                        budget: deadline.budget().unwrap_or_default(),
-                    }),
-                };
-                (res, true)
-            }
-            Err(RecvTimeoutError::Disconnected) => (
-                Err(ServeError::DeadlineExceeded {
-                    elapsed: deadline.elapsed(),
-                    budget: deadline.budget().unwrap_or_default(),
-                }),
-                false,
-            ),
-        }
-    }
-
-    /// Bounded retry with doubling backoff around [`Router::run_hedged`].
+    /// Bounded retry with doubling backoff around one shard `attempt`.
     /// Deadline and unknown-segment failures are terminal (the budget is
     /// gone / the request can never succeed); everything else retries up
     /// to `shard_retries` times.
     fn call_shard(
         &self,
-        rt: &Arc<ShardRuntime>,
-        attempt: &AttemptFn,
+        attempt: impl Fn() -> Result<ShardPartial, ServeError>,
         deadline: &Deadline,
     ) -> Result<ShardPartial, ServeError> {
         let mut backoff = self.rcfg.shard_backoff;
         let mut tries = 0usize;
         loop {
-            let t0 = Instant::now();
-            let (res, hedged) = self.run_hedged(rt, attempt, deadline);
-            match res {
-                Ok(p) => {
-                    // Only un-hedged successes feed the p99 estimator —
-                    // see the pollution argument on [`Router::run_hedged`].
-                    if !hedged {
-                        rt.latency.record(t0.elapsed().as_secs_f64());
-                    }
-                    return Ok(p);
-                }
+            match attempt() {
+                Ok(p) => return Ok(p),
                 Err(e) => {
                     let terminal = matches!(
                         e,
@@ -534,13 +380,13 @@ impl Router {
         }
     }
 
-    /// The full per-shard pipeline: breaker gate, budgeted hedged
-    /// attempts, outcome recording. Exactly one journal entry per breaker
-    /// state change (the CAS winner inside the breaker reports it here).
+    /// The full per-shard pipeline: breaker gate, budgeted attempts,
+    /// outcome recording. Exactly one journal entry per breaker state
+    /// change (the CAS winner inside the breaker reports it here).
     fn query_shard(
         &self,
-        rt: &Arc<ShardRuntime>,
-        attempt: &AttemptFn,
+        rt: &ShardRuntime,
+        attempt: impl Fn() -> Result<ShardPartial, ServeError>,
         deadline: &Deadline,
     ) -> ShardResult {
         let (admission, transition) = rt.breaker.try_admit();
@@ -551,7 +397,7 @@ impl Router {
             return ShardResult::Quarantined;
         }
         let probe = admission == Admission::Probe;
-        match self.call_shard(rt, attempt, deadline) {
+        match self.call_shard(attempt, deadline) {
             Ok(partial) => {
                 if probe {
                     if let Some(t) = rt.breaker.record_probe(true) {
@@ -646,7 +492,7 @@ impl Router {
             .store
             .snapshot()
             .ok_or(ServeError::NotReady)?;
-        let query: Arc<Vec<f32>> = Arc::new(owner_gen.embeddings().row_slice(local).to_vec());
+        let query = owner_gen.embeddings().row_slice(local).to_vec();
         let query_norm = owner_gen.row_norm(local);
         drop(owner_gen);
 
@@ -663,27 +509,24 @@ impl Router {
             }
             for (si, locals) in per_shard.into_iter().enumerate() {
                 if !locals.is_empty() {
-                    legs.push((self.runtimes[si].clone(), Some(Arc::new(locals))));
+                    legs.push((&self.runtimes[si], Some(locals)));
                 }
             }
         } else {
-            for rt in &self.runtimes {
-                legs.push((rt.clone(), None));
-            }
+            legs.extend(self.runtimes.iter().map(|rt| (rt, None)));
         }
 
         let total = legs.len();
         let mut merged: Vec<(usize, f32)> = Vec::new();
         let mut shards_cov: Vec<ShardCoverage> = Vec::with_capacity(total);
         let (mut answered, mut degraded) = (0usize, 0usize);
-        for (i, (rt, rows)) in legs.iter().enumerate() {
+        for (i, (rt, rows)) in legs.into_iter().enumerate() {
             // Divide what is left of the budget among the shards still
             // waiting: early fast shards donate surplus to later ones.
             let slice = deadline.split(total - i);
             let exclude = (rt.index == owner).then_some(local);
-            let attempt =
-                self.make_attempt(rt, rows.clone(), &query, query_norm, exclude, k, slice);
-            match self.query_shard(rt, &attempt, &slice) {
+            let attempt = || rt.attempt(rows.as_deref(), &query, query_norm, exclude, k, slice);
+            match self.query_shard(rt, attempt, &slice) {
                 ShardResult::Answered(p) => {
                     merged.extend(p.pairs);
                     answered += 1;
@@ -780,57 +623,14 @@ impl Router {
         })
     }
 
-    /// Builds the cloneable per-shard attempt closure: consume one
-    /// fault-injection step, run the shard leg (full scan or explicit
-    /// rows), map local ids back to global.
-    #[allow(clippy::too_many_arguments)]
-    fn make_attempt(
-        &self,
-        rt: &Arc<ShardRuntime>,
-        rows: Option<Arc<Vec<usize>>>,
-        query: &Arc<Vec<f32>>,
-        query_norm: f32,
-        exclude: Option<usize>,
-        k: usize,
-        slice: Deadline,
-    ) -> AttemptFn {
-        let rt = rt.clone();
-        let query = query.clone();
-        Arc::new(move || {
-            rt.apply_fault()?;
-            match &rows {
-                None => {
-                    let knn = rt.store.knn_vector(&query, query_norm, exclude, k, slice)?;
-                    Ok(ShardPartial {
-                        pairs: knn
-                            .neighbors
-                            .iter()
-                            .map(|&(l, s)| (rt.globals[l], s))
-                            .collect(),
-                        generation: knn.generation,
-                    })
-                }
-                Some(locals) => {
-                    let (scored, generation) = rt
-                        .store
-                        .score_vector(&query, query_norm, locals, exclude, slice)?;
-                    Ok(ShardPartial {
-                        pairs: scored.iter().map(|&(l, s)| (rt.globals[l], s)).collect(),
-                        generation,
-                    })
-                }
-            }
-        })
-    }
-
     /// The ANN rescue leg: answer from this shard's HNSW index when one
     /// is ready (`None` otherwise — absent, building, or fell back),
     /// outside the breaker (it already recorded the exact leg's failure)
     /// and with one slice of whatever budget remains.
     fn ann_leg(
         &self,
-        rt: &Arc<ShardRuntime>,
-        query: &Arc<Vec<f32>>,
+        rt: &ShardRuntime,
+        query: &[f32],
         query_norm: f32,
         exclude: Option<usize>,
         k: usize,
@@ -842,14 +642,7 @@ impl Router {
             .store
             .knn_vector_ann(query, query_norm, exclude, k, slice)
             .ok()?;
-        Some(ShardPartial {
-            pairs: knn
-                .neighbors
-                .iter()
-                .map(|&(l, s)| (rt.globals[l], s))
-                .collect(),
-            generation: knn.generation,
-        })
+        Some(rt.partial(&knn.neighbors, knn.generation))
     }
 
     /// The degraded rescue leg: score only this shard's global-grid
@@ -859,9 +652,9 @@ impl Router {
     #[allow(clippy::too_many_arguments)]
     fn degraded_leg(
         &self,
-        rt: &Arc<ShardRuntime>,
+        rt: &ShardRuntime,
         segment: usize,
-        query: &Arc<Vec<f32>>,
+        query: &[f32],
         query_norm: f32,
         exclude: Option<usize>,
         k: usize,
@@ -879,15 +672,8 @@ impl Router {
         if locals.is_empty() {
             return None;
         }
-        rt.apply_fault().ok()?;
-        let (scored, generation) = rt
-            .store
-            .score_vector(query, query_norm, &locals, exclude, slice)
-            .ok()?;
-        Some(ShardPartial {
-            pairs: scored.iter().map(|&(l, s)| (rt.globals[l], s)).collect(),
-            generation,
-        })
+        rt.attempt(Some(&locals), query, query_norm, exclude, k, slice)
+            .ok()
     }
 
     // ---- health ----------------------------------------------------------

@@ -7,7 +7,7 @@
 //! `Arc<Generation>` publishing, admission ceiling, reload retry, and
 //! staleness tracking — so one shard can hot-swap, fail, or be
 //! quarantined without touching its siblings' generations. The
-//! [`crate::Router`] fronts this layout with breakers, hedging, and
+//! [`crate::Router`] fronts this layout with breakers, retries, and
 //! coverage accounting.
 //!
 //! The sharded layout also keeps a *global* spatial grid identical to the

@@ -323,11 +323,35 @@ pub struct Knn {
     pub ann: bool,
 }
 
-/// RAII admission ticket: holds one slot of the in-flight budget until
-/// dropped. Exposed so tests and benches can saturate the store
-/// deterministically; query methods acquire one internally.
+/// RAII admission ticket: holds one slot of an in-flight budget (a
+/// store's, or the router's) until dropped. Exposed so tests and benches
+/// can saturate the store deterministically; query methods acquire one
+/// internally.
 pub struct Ticket<'a> {
     inflight: &'a AtomicUsize,
+}
+
+impl<'a> Ticket<'a> {
+    /// Claims one slot of `inflight` while it is below `max_inflight`;
+    /// at the ceiling, returns the in-flight count it saw. The caller
+    /// counts and journals its own shed.
+    pub(crate) fn claim(inflight: &'a AtomicUsize, max_inflight: usize) -> Result<Self, usize> {
+        let mut cur = inflight.load(AtomicOrdering::Acquire);
+        loop {
+            if cur >= max_inflight {
+                return Err(cur);
+            }
+            match inflight.compare_exchange_weak(
+                cur,
+                cur + 1,
+                AtomicOrdering::AcqRel,
+                AtomicOrdering::Acquire,
+            ) {
+                Ok(_) => return Ok(Ticket { inflight }),
+                Err(actual) => cur = actual,
+            }
+        }
+    }
 }
 
 impl Drop for Ticket<'_> {
@@ -344,10 +368,11 @@ struct ReloadLog {
     last_error: Option<String>,
 }
 
-/// Recovers a poisoned mutex: the store's invariants are all on atomics
-/// or behind complete replacement (generation swap), so the data behind a
-/// poisoned lock is still coherent and serving must continue.
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Recovers a poisoned mutex: the store's and the router's invariants are
+/// all on atomics or behind complete replacement (generation swap, fault
+/// slot), so the data behind a poisoned lock is still coherent and
+/// serving must continue.
+pub(crate) fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
@@ -743,31 +768,16 @@ impl EmbeddingStore {
     /// methods call this internally; it is public so tests and benches can
     /// hold tickets to create deterministic pressure.
     pub fn try_ticket(&self) -> Result<Ticket<'_>, ServeError> {
-        let mut cur = self.inflight.load(AtomicOrdering::Acquire);
-        loop {
-            if cur >= self.cfg.max_inflight {
-                self.shed.fetch_add(1, AtomicOrdering::Relaxed);
-                sarn_obs::counter("sarn_serve_shed_total").inc();
-                sarn_obs::record(sarn_obs::Event::Shed { inflight: cur });
-                return Err(ServeError::Overloaded {
-                    inflight: cur,
-                    max_inflight: self.cfg.max_inflight,
-                });
+        let max_inflight = self.cfg.max_inflight;
+        Ticket::claim(&self.inflight, max_inflight).map_err(|inflight| {
+            self.shed.fetch_add(1, AtomicOrdering::Relaxed);
+            sarn_obs::counter("sarn_serve_shed_total").inc();
+            sarn_obs::record(sarn_obs::Event::Shed { inflight });
+            ServeError::Overloaded {
+                inflight,
+                max_inflight,
             }
-            match self.inflight.compare_exchange_weak(
-                cur,
-                cur + 1,
-                AtomicOrdering::AcqRel,
-                AtomicOrdering::Acquire,
-            ) {
-                Ok(_) => {
-                    return Ok(Ticket {
-                        inflight: &self.inflight,
-                    })
-                }
-                Err(actual) => cur = actual,
-            }
-        }
+        })
     }
 
     fn check_segment(&self, segment: usize) -> Result<(), ServeError> {

@@ -1,7 +1,7 @@
 //! Behavioral contract of the shard router: bitwise identity with the
 //! single store when healthy, typed coverage degradation under injected
-//! shard faults, quarantine and probed recovery, hedging against slow
-//! shards, batched amortization, and shard-aware health.
+//! shard faults, quarantine and probed recovery, batched amortization,
+//! and shard-aware health.
 
 use std::time::Duration;
 
@@ -48,10 +48,9 @@ fn serve_cfg() -> ServeConfig {
     }
 }
 
-/// Deterministic router knobs: hedging off, fast backoff.
+/// The default router with a fast backoff and a quick breaker.
 fn router_cfg() -> RouterConfig {
     RouterConfig {
-        hedge: false,
         shard_retries: 1,
         shard_backoff: Duration::from_millis(1),
         breaker: BreakerConfig {
@@ -278,40 +277,6 @@ fn breaker_quarantines_after_threshold_and_probe_recovers() {
         "closed→open, open→half-open, half-open→closed"
     );
     sarn_obs::set_enabled(false);
-}
-
-#[test]
-fn hedge_fires_against_a_p99_slow_shard_and_the_answer_survives() {
-    let mut cfg = router_cfg();
-    cfg.hedge = true;
-    cfg.hedge_factor = 2.0;
-    let router = router_with(cfg);
-    let victim = router.sharded().num_shards() - 1;
-    // Warm the latency estimator past its minimum window.
-    for _ in 0..20 {
-        router.knn(0, 5, Deadline::unbounded()).expect("warmup");
-    }
-    let before = router.hedges_fired();
-    // Inflate exactly one attempt by far more than p99 × factor: the
-    // primary sleeps, the hedge (attempt two, delay already consumed)
-    // answers fast, and the query still completes with full coverage.
-    router.inject_shard_fault(
-        victim,
-        Some(ShardFault {
-            delay_ms: 200,
-            delay_queries: 1,
-            ..ShardFault::default()
-        }),
-    );
-    let t0 = std::time::Instant::now();
-    let out = router.knn(0, 5, Deadline::unbounded()).expect("hedged");
-    assert!(out.coverage.complete(), "{:?}", out.coverage);
-    assert!(router.hedges_fired() > before, "hedge fired");
-    assert!(
-        t0.elapsed() < Duration::from_millis(200),
-        "hedge beat the inflated primary ({:?})",
-        t0.elapsed()
-    );
 }
 
 #[test]

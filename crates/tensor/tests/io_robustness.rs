@@ -9,6 +9,8 @@
 //! sweep of interior byte offsets, and validation mismatches — and
 //! require a typed [`IoError`] every time.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use proptest::prelude::*;
 use sarn_tensor::io::IoError;
 use sarn_tensor::{Tensor, TensorExpectation};
@@ -20,13 +22,17 @@ const COLS: usize = 9;
 /// cols, then `rows * cols` little-endian f32s.
 const HEADER_LEN: usize = 4 + 4 + 4;
 
+/// Writes, reads back and deletes a pristine artifact. Several tests call
+/// this at once on the harness's threads, so each call gets its own path.
 fn artifact_bytes() -> Vec<u8> {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
     let t = Tensor::from_vec(
         ROWS,
         COLS,
         (0..ROWS * COLS).map(|i| (i as f32).sin()).collect(),
     );
-    let p = std::env::temp_dir().join(format!("sarn_io_rob_src_{}", std::process::id()));
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let p = std::env::temp_dir().join(format!("sarn_io_rob_src_{}_{call}", std::process::id()));
     t.save(&p).expect("writing the pristine artifact");
     let bytes = std::fs::read(&p).expect("reading the pristine artifact back");
     std::fs::remove_file(&p).ok();

@@ -136,9 +136,9 @@ cargo test -q --release -p sarn-sys-tests --test pipeline_online
 # Sharded-router chaos smoke: bitwise identity against the combined
 # store at 1 and 4 reader threads, a kill-K-of-N-shards storm under
 # per-shard generation churn with a recovery-to-full-coverage assert,
-# hedged vs unhedged tail latency against a slow shard, and knn_batch
-# equivalence, written to the committed BENCH_9.json (every row carries
-# the process peak-RSS high-water mark); exits non-zero on any breach.
+# and knn_batch equivalence, written to the committed BENCH_9.json (every
+# row carries the process peak-RSS high-water mark); exits non-zero on
+# any breach.
 step "sharded router chaos smoke (BENCH_9.json)"
 rm -f BENCH_9.json
 SARN_NET_SCALE=0.22 SARN_REPORT_JSONL=BENCH_9.json \

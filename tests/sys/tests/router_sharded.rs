@@ -54,7 +54,6 @@ fn serve_cfg() -> ServeConfig {
 fn router_cfg() -> RouterConfig {
     RouterConfig {
         num_shards: SHARDS,
-        hedge: false,
         shard_retries: 1,
         shard_backoff: Duration::from_millis(1),
         breaker: BreakerConfig {
