@@ -12,9 +12,9 @@
 //!    the table reports total wall-clock and seconds per epoch for
 //!    `reference` (bit-exact scalar kernels) vs `fast` (blocked /
 //!    lane-accumulator kernels).
-//! 3. **Serve k-NN latency** — exact and grid-approximate k-NN p50/p99
-//!    against the same published artifact, per mode; the cosine scorer
-//!    dispatches on the knob at query time.
+//! 3. **Serve k-NN latency** — exact k-NN p50/p99 against the same
+//!    published artifact, per mode; the cosine scorer dispatches on the
+//!    knob at query time.
 //!
 //! `SARN_KERNEL_BENCH_LEGS` (comma list of `join`, `train`, `knn`;
 //! default all) restricts the run — CI uses `join` alone for the
@@ -156,16 +156,7 @@ fn main() {
     store.reload(&path).expect("publishing the artifact");
     let n = net.num_segments();
 
-    let mut knn_table = Table::new(
-        "kernel_knn",
-        &[
-            "mode",
-            "exact_p50_us",
-            "exact_p99_us",
-            "approx_p50_us",
-            "approx_p99_us",
-        ],
-    );
+    let mut knn_table = Table::new("kernel_knn", &["mode", "exact_p50_us", "exact_p99_us"]);
     for mode in modes {
         sarn_par::set_reduction_order(mode);
         let (exact_p50, exact_p99) = time_knn(|i| {
@@ -173,17 +164,10 @@ fn main() {
                 .knn(i % n, KNN_K, Deadline::unbounded())
                 .expect("exact knn");
         });
-        let (approx_p50, approx_p99) = time_knn(|i| {
-            store
-                .knn_approx(i % n, KNN_K, Deadline::unbounded())
-                .expect("approx knn");
-        });
         knn_table.row(vec![
             mode.label().to_string(),
             format!("{exact_p50:.1}"),
             format!("{exact_p99:.1}"),
-            format!("{approx_p50:.1}"),
-            format!("{approx_p99:.1}"),
         ]);
     }
     sarn_par::set_reduction_order(ReductionOrder::Reference);

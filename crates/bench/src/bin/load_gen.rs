@@ -394,7 +394,7 @@ fn main() {
         eprintln!("[load_gen] scale {n}: building scan + hnsw routers");
         let (scan_router, _) = build_router(&cfg, n, usize::MAX);
         let (ann_router, build_ms) = build_router(&cfg, n, 1);
-        let ann_before = sarn_obs::counter("sarn_serve_knn_ann_total").get();
+        let ann_before = sarn_obs::counter!("sarn_serve_knn_ann_total").get();
 
         let recall = recall_at_k(&scan_router, &ann_router, n, &cfg);
         ensure(
@@ -405,7 +405,7 @@ fn main() {
             ),
         );
         ensure(
-            sarn_obs::counter("sarn_serve_knn_ann_total").get() > ann_before,
+            sarn_obs::counter!("sarn_serve_knn_ann_total").get() > ann_before,
             "hnsw leg never served through the ANN index",
         );
 

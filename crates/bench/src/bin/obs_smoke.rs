@@ -8,8 +8,7 @@
 //!    EXPERIMENTS.md.
 //! 2. **Serving leg.** Publishes the artifact through an
 //!    [`sarn_serve::EmbeddingStore`] (reload path, so reload telemetry
-//!    fires) and answers 100 queries each of lookup / exact k-NN /
-//!    approximate k-NN.
+//!    fires) and answers 100 queries each of lookup and k-NN.
 //! 3. **Artifact leg.** Re-exports and asserts the Prometheus text
 //!    parses with the key training and serving series non-empty, the
 //!    JSON snapshot validates, and every journal line is valid JSON.
@@ -74,7 +73,7 @@ fn main() {
     let overhead_pct = (on_epoch - off_epoch) / off_epoch * 100.0;
 
     // Leg 2: serve 100 queries per path through the instrumented store.
-    eprintln!("[obs_smoke] leg 2: serving 3 x 100 queries");
+    eprintln!("[obs_smoke] leg 2: serving 2 x 100 queries");
     std::fs::create_dir_all(&dir).expect("creating the export directory");
     let artifact = dir.join("embeddings.emb");
     on.embeddings.save(&artifact).expect("saving the artifact");
@@ -88,9 +87,6 @@ fn main() {
             .embedding(i % n, Deadline::unbounded())
             .expect("lookup");
         store.knn(i % n, 5, Deadline::unbounded()).expect("knn");
-        store
-            .knn_approx(i % n, 5, Deadline::unbounded())
-            .expect("approx knn");
     }
     let health = store.health();
     assert_eq!(health.reloads_ok, 1);
@@ -134,7 +130,6 @@ fn main() {
     for series in [
         "sarn_serve_lookup_seconds_count",
         "sarn_serve_knn_exact_seconds_count",
-        "sarn_serve_knn_approx_seconds_count",
     ] {
         assert!(
             value_of(series) >= QUERIES as f64,

@@ -1,19 +1,17 @@
-//! Sharded-router chaos smoke + latency benchmark, for CI (DESIGN.md §15).
+//! Sharded-router chaos smoke, for CI (DESIGN.md §15).
 //!
-//! Three legs, all exiting non-zero on any contract breach or panic:
+//! Two legs, both exiting non-zero on any contract breach or panic:
 //!
 //! 1. **Identity** — a healthy [`Router`] over a geo-partitioned
-//!    [`ShardedStore`] must answer exact and approximate k-NN bitwise
-//!    identically to one combined [`EmbeddingStore`], at 1 and at 4
-//!    concurrent reader threads.
+//!    [`ShardedStore`] must answer k-NN bitwise identically to one
+//!    combined [`EmbeddingStore`], at 1 and at 4 concurrent reader
+//!    threads.
 //! 2. **Chaos** — kill K of N shards with sticky injected faults while a
 //!    4-thread query storm runs against per-shard generation churn. The
 //!    router must never panic or serve a torn row: every answer is
 //!    full-coverage, typed-partial, or a typed `PartialCoverage` shed.
 //!    Clearing the faults must recover to full coverage through the
 //!    breakers' probed half-open path.
-//! 3. **Batch** — `knn_batch` must match per-query `knn` answers exactly
-//!    while amortizing admission and deadline checks.
 //!
 //! Emits machine-readable rows through the bench report machinery: run
 //! with `SARN_REPORT_JSONL=BENCH_9.json` to produce the committed CI
@@ -126,22 +124,6 @@ fn identity_leg(net: &RoadNetwork, rcfg: &RouterConfig, table: &mut Table) {
                                 );
                             }
                         }
-                        let ours = router
-                            .knn_approx(segment, 5, Deadline::unbounded())
-                            .unwrap_or_else(|e| fail(&format!("routed approx: {e}")));
-                        let theirs = single
-                            .knn_approx(segment, 5, Deadline::unbounded())
-                            .unwrap_or_else(|e| fail(&format!("combined approx: {e}")));
-                        let same = ours.neighbors.len() == theirs.neighbors.len()
-                            && ours
-                                .neighbors
-                                .iter()
-                                .zip(&theirs.neighbors)
-                                .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits());
-                        ensure(
-                            same,
-                            "routed approx diverged bitwise from the combined store",
-                        );
                         checked.fetch_add(1, Ordering::Relaxed);
                     }
                 });
@@ -152,8 +134,6 @@ fn identity_leg(net: &RoadNetwork, rcfg: &RouterConfig, table: &mut Table) {
             format!("threads={threads}"),
             checked.load(Ordering::Relaxed).to_string(),
             "bitwise==combined".to_string(),
-            "-".to_string(),
-            "-".to_string(),
             peak_rss_mb(),
         ]);
     }
@@ -260,8 +240,6 @@ fn chaos_leg(net: &RoadNetwork, rcfg: &RouterConfig, table: &mut Table) {
         format!("kill {kill}/{shards}"),
         (4 * STORM_QUERIES).to_string(),
         format!("ok={ok_n} partial={partial_n} shed={shed_n}"),
-        "-".to_string(),
-        "-".to_string(),
         peak_rss_mb(),
     ]);
 
@@ -289,47 +267,6 @@ fn chaos_leg(net: &RoadNetwork, rcfg: &RouterConfig, table: &mut Table) {
         "recovered".to_string(),
         "-".to_string(),
         format!("full coverage in {:.0} ms", recovered.as_secs_f64() * 1e3),
-        "-".to_string(),
-        "-".to_string(),
-        peak_rss_mb(),
-    ]);
-}
-
-/// Leg 3: batched queries match per-query answers.
-fn batch_leg(net: &RoadNetwork, rcfg: &RouterConfig, table: &mut Table) {
-    let n = net.num_segments();
-    let router = build_router(net, *rcfg);
-    let ids: Vec<usize> = (0..STORM_QUERIES.min(n)).collect();
-    let t0 = Instant::now();
-    let batched = router
-        .knn_batch(&ids, 5, Deadline::unbounded())
-        .unwrap_or_else(|e| fail(&format!("knn_batch: {e}")));
-    let batch_elapsed = t0.elapsed();
-    let t1 = Instant::now();
-    for (i, &segment) in ids.iter().enumerate() {
-        let single = router
-            .knn(segment, 5, Deadline::unbounded())
-            .unwrap_or_else(|e| fail(&format!("per-query knn: {e}")));
-        let b = match &batched[i] {
-            Ok(b) => b,
-            Err(e) => fail(&format!("batched slot {i} failed on a healthy router: {e}")),
-        };
-        let same = b.neighbors.len() == single.neighbors.len()
-            && b.neighbors
-                .iter()
-                .zip(&single.neighbors)
-                .all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits());
-        ensure(same, "knn_batch diverged from per-query knn");
-    }
-    let single_elapsed = t1.elapsed();
-    let per = |d: Duration| format!("{:.0}", d.as_secs_f64() * 1e6 / ids.len() as f64);
-    table.row(vec![
-        "batch".to_string(),
-        format!("batch_of_{}", ids.len()),
-        ids.len().to_string(),
-        "bitwise==per-query".to_string(),
-        per(batch_elapsed),
-        per(single_elapsed),
         peak_rss_mb(),
     ]);
 }
@@ -345,19 +282,10 @@ fn main() {
     );
     let mut table = Table::new(
         "router_chaos_smoke",
-        &[
-            "leg",
-            "config",
-            "queries",
-            "outcome",
-            "p50_us",
-            "p99_us",
-            "peak_rss_mb",
-        ],
+        &["leg", "config", "queries", "outcome", "peak_rss_mb"],
     );
     identity_leg(&net, &rcfg, &mut table);
     chaos_leg(&net, &rcfg, &mut table);
-    batch_leg(&net, &rcfg, &mut table);
     table.print();
     eprintln!("[router_chaos_smoke] ok");
 }

@@ -13,14 +13,12 @@
 //! 2. **Good reload** — a fresh artifact must flip queries atomically to
 //!    the new generation and clear the degradation.
 //! 3. **Overload burst** — saturating the admission budget must shed with
-//!    `ServeError::Overloaded`; pressure between the degrade threshold
-//!    and the ceiling must downgrade exact k-NN to the grid-approximate
-//!    path, visibly.
+//!    `ServeError::Overloaded`, and k-NN must answer again once the burst
+//!    drains.
 //!
-//! Prints lookup / exact-k-NN / approximate-k-NN latency numbers for
-//! EXPERIMENTS.md. Honors the `SARN_*` training knobs and the
-//! `SARN_SERVE_*` serving knobs. Exits non-zero on any contract breach or
-//! panic.
+//! Prints lookup / k-NN latency numbers for EXPERIMENTS.md. Honors the
+//! `SARN_*` training knobs and the `SARN_SERVE_*` serving knobs. Exits
+//! non-zero on any contract breach or panic.
 
 use std::time::{Duration, Instant};
 
@@ -82,7 +80,6 @@ fn main() {
     let baseline_knn = store
         .knn(probe, 10, Deadline::unbounded())
         .expect("baseline knn");
-    assert!(!baseline_knn.degraded);
     assert_eq!(baseline_knn.generation, 1);
 
     // Leg 2: corrupt swaps. Garbage, truncation, and injected I/O faults
@@ -155,8 +152,8 @@ fn main() {
     );
     assert_eq!(store.health().state, ServeState::Serving { generation: 3 });
 
-    // Leg 4: overload burst. Saturate the budget -> typed shed; partial
-    // pressure -> exact k-NN degrades to the grid path.
+    // Leg 4: overload burst. Saturate the budget -> typed shed; drained
+    // -> k-NN answers again.
     eprintln!(
         "[serve_smoke] leg 4: overload burst at max_inflight={}",
         serve_cfg.max_inflight
@@ -174,27 +171,10 @@ fn main() {
     }
     assert!(matches!(store.health().state, ServeState::Shedding { .. }));
     drop(full);
-    if serve_cfg.degrade_inflight > 0 && serve_cfg.degrade_inflight < serve_cfg.max_inflight {
-        let pressure: Vec<_> = (0..serve_cfg.degrade_inflight)
-            .map(|i| {
-                store
-                    .try_ticket()
-                    .unwrap_or_else(|e| panic!("pressure ticket {i}: {e}"))
-            })
-            .collect();
-        let degraded = store
-            .knn(probe, 10, Deadline::unbounded())
-            .expect("degraded knn under pressure");
-        assert!(
-            degraded.degraded,
-            "pressure between thresholds must degrade exact k-NN"
-        );
-        drop(pressure);
-    }
     let recovered = store
         .knn(probe, 10, Deadline::unbounded())
-        .expect("exact knn after the burst");
-    assert!(!recovered.degraded);
+        .expect("knn after the burst");
+    assert_eq!(recovered.neighbors.len(), 10);
 
     // Leg 5: deadlines are typed, not best-effort.
     match store.knn(probe, 10, Deadline::within(Duration::ZERO)) {
@@ -210,21 +190,15 @@ fn main() {
             .embedding(i % n, Deadline::unbounded())
             .expect("lookup");
     });
-    time_queries("exact knn (k=10)", |i| {
+    time_queries("knn (k=10)", |i| {
         store.knn(i % n, 10, Deadline::unbounded()).expect("knn");
-    });
-    time_queries("approx knn (k=10)", |i| {
-        store
-            .knn_approx(i % n, 10, Deadline::unbounded())
-            .expect("approx knn");
     });
 
     let health = store.health();
     println!(
-        "serve_smoke OK: {} served, {} shed, {} degraded, {} good / {} failed reloads, final state {:?}",
+        "serve_smoke OK: {} served, {} shed, {} good / {} failed reloads, final state {:?}",
         health.served_total,
         health.shed_total,
-        health.degraded_total,
         health.reloads_ok,
         health.reloads_failed,
         health.state

@@ -207,7 +207,7 @@ pub fn try_train(net: &RoadNetwork, cfg: &SarnConfig) -> Result<SarnTrained, Tra
         let applied = warm_start_apply(&ckpt.query, &mut model.store)?
             + warm_start_apply(&ckpt.momentum, &mut model.store_momentum)?;
         if sarn_obs::enabled() {
-            sarn_obs::counter("sarn_train_warm_starts_total").inc();
+            sarn_obs::counter!("sarn_train_warm_starts_total").inc();
             sarn_obs::Registry::global()
                 .gauge("sarn_train_warm_start_params_applied")
                 .set(applied as f64);

@@ -309,7 +309,7 @@ pub(crate) fn obs_violation(v: &HealthViolation) {
     if !sarn_obs::enabled() {
         return;
     }
-    sarn_obs::counter("sarn_watchdog_violations_total").inc();
+    sarn_obs::counter!("sarn_watchdog_violations_total").inc();
     sarn_obs::record(sarn_obs::Event::WatchdogViolation {
         epoch: v.epoch(),
         batch: v.batch(),
@@ -322,7 +322,7 @@ pub(crate) fn obs_recovery(ev: &RecoveryEvent, retry: usize) {
     if !sarn_obs::enabled() {
         return;
     }
-    sarn_obs::counter("sarn_watchdog_recoveries_total").inc();
+    sarn_obs::counter!("sarn_watchdog_recoveries_total").inc();
     sarn_obs::record(sarn_obs::Event::WatchdogRecovery {
         rolled_back_to_epoch: ev.rolled_back_to_epoch,
         lr_scale: ev.lr_scale as f64,
@@ -335,7 +335,7 @@ pub(crate) fn obs_divergence(report: &DivergenceReport) {
     if !sarn_obs::enabled() {
         return;
     }
-    sarn_obs::counter("sarn_watchdog_divergences_total").inc();
+    sarn_obs::counter!("sarn_watchdog_divergences_total").inc();
     sarn_obs::record(sarn_obs::Event::WatchdogDivergence {
         recoveries: report.recoveries.len(),
         detail: report.violation.to_string(),

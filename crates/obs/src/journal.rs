@@ -2,10 +2,10 @@
 //!
 //! Every subsystem pushes its landmark moments here — epoch summaries,
 //! watchdog violations and rollbacks, checkpoint writes, serve reload
-//! outcomes, shed/degrade transitions, bench table rows — and the whole
-//! ring drains to JSONL (one event object per line) for machine-readable
-//! run artifacts. The ring is bounded: when full, the oldest event is
-//! dropped and a drop counter keeps the loss visible.
+//! outcomes, sheds, bench table rows — and the whole ring drains to
+//! JSONL (one event object per line) for machine-readable run artifacts.
+//! The ring is bounded: when full, the oldest event is dropped and a
+//! drop counter keeps the loss visible.
 
 use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
@@ -96,11 +96,6 @@ pub enum Event {
     /// A request was shed at the in-flight ceiling.
     Shed {
         /// In-flight count observed at the shed.
-        inflight: usize,
-    },
-    /// An exact k-NN request degraded to the approximate path.
-    Degrade {
-        /// In-flight count observed at the degrade.
         inflight: usize,
     },
     /// One row of a bench table (the machine-readable artifact behind
@@ -203,7 +198,6 @@ impl Event {
             Event::ReloadOk { .. } => "reload_ok",
             Event::ReloadFailed { .. } => "reload_failed",
             Event::Shed { .. } => "shed",
-            Event::Degrade { .. } => "degrade",
             Event::BenchRow { .. } => "bench_row",
             Event::PipelineStage { .. } => "pipeline_stage",
             Event::ServeStale { .. } => "serve_stale",
@@ -309,7 +303,7 @@ impl TimedEvent {
                 w.field_u64("attempts", *attempts as u64);
                 w.field_str("error", error);
             }
-            Event::Shed { inflight } | Event::Degrade { inflight } => {
+            Event::Shed { inflight } => {
                 w.field_u64("inflight", *inflight as u64);
             }
             Event::BenchRow { table, cells } => {
@@ -639,7 +633,6 @@ mod tests {
                 error: "bad magic".into(),
             },
             Event::Shed { inflight: 64 },
-            Event::Degrade { inflight: 50 },
             Event::BenchRow {
                 table: "Table 4".into(),
                 cells: vec![

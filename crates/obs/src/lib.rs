@@ -14,7 +14,7 @@
 //!   cheap enough for per-batch use.
 //! - **Events.** A bounded ring-buffer [`EventJournal`] of typed
 //!   structured [`Event`]s (epoch summaries, watchdog rollbacks,
-//!   checkpoint writes, reload outcomes, shed/degrade, bench rows),
+//!   checkpoint writes, reload outcomes, sheds, bench rows),
 //!   drainable to JSONL.
 //! - **Exporters.** Prometheus text exposition and a JSON snapshot,
 //!   written atomically (tmp sibling + rename — never a torn file), on
@@ -80,9 +80,27 @@ pub fn record(event: Event) {
     EventJournal::global().record(event);
 }
 
-/// Convenience: the global registry's counter `name`.
+/// Convenience: the global registry's counter `name`. Each call locks
+/// the registry and allocates the name; recording sites use
+/// [`counter!`] instead, which resolves the handle once per call site.
 pub fn counter(name: &str) -> Counter {
     Registry::global().counter(name)
+}
+
+/// The global registry's counter `name`, interned once per call site
+/// (like [`span!`]): the first call resolves the handle, every later one
+/// is a `OnceLock` load.
+///
+/// ```
+/// sarn_obs::counter!("demo_requests_total").inc();
+/// ```
+#[macro_export]
+macro_rules! counter {
+    ($name:expr) => {{
+        static __SARN_OBS_COUNTER: ::std::sync::OnceLock<$crate::Counter> =
+            ::std::sync::OnceLock::new();
+        __SARN_OBS_COUNTER.get_or_init(|| $crate::Registry::global().counter($name))
+    }};
 }
 
 /// Convenience: the global registry's gauge `name`.
@@ -114,6 +132,24 @@ mod tests {
         assert!(!super::enabled());
         super::set_enabled(true);
         assert!(super::enabled());
+        super::set_enabled(false);
+    }
+
+    #[test]
+    fn counter_macro_shares_the_registry_handle() {
+        let _guard = super::test_flag_lock();
+        super::set_enabled(true);
+        let bump = || crate::counter!("obs_test_macro_counter_total").inc();
+        let resolved = super::Registry::global().counter("obs_test_macro_counter_total");
+        let before = resolved.get();
+        bump();
+        bump();
+        resolved.inc();
+        assert_eq!(resolved.get(), before + 3);
+        assert_eq!(
+            crate::counter!("obs_test_macro_counter_total").get(),
+            before + 3
+        );
         super::set_enabled(false);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Names are interned once: the first `counter("x")` call creates the
 //! metric, every later call returns a clone of the same handle. Callers
-//! cache the handle in a `static OnceLock` (the [`crate::span!`] macro
-//! does this for you), so the registry's mutex is touched only during
-//! setup — never on the recording hot path.
+//! cache the handle in a `static OnceLock` (the [`crate::span!`] and
+//! [`crate::counter!`] macros do this for you), so the registry's mutex
+//! is touched only during setup — never on the recording hot path.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};

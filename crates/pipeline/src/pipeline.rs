@@ -236,7 +236,7 @@ fn run_stage<T>(
         let t0 = Instant::now();
         let outcome = attempt_fn(attempt);
         if sarn_obs::enabled() {
-            sarn_obs::counter("sarn_pipeline_stage_attempts_total").inc();
+            sarn_obs::counter!("sarn_pipeline_stage_attempts_total").inc();
             sarn_obs::record(sarn_obs::Event::PipelineStage {
                 batch,
                 stage: stage.to_string(),
@@ -249,7 +249,7 @@ fn run_stage<T>(
         match outcome {
             Ok(v) => return Ok(v),
             Err(e) => {
-                sarn_obs::counter("sarn_pipeline_stage_failures_total").inc();
+                sarn_obs::counter!("sarn_pipeline_stage_failures_total").inc();
                 if attempt > retries {
                     return Err(e);
                 }
@@ -610,7 +610,7 @@ impl Pipeline {
                 Ok((trained.embeddings, false))
             }
             Err(e @ (TrainError::Diverged(_) | TrainError::DeadlineExceeded { .. })) => {
-                sarn_obs::counter("sarn_pipeline_fallbacks_total").inc();
+                sarn_obs::counter!("sarn_pipeline_fallbacks_total").inc();
                 let emb = self.fallback_embeddings(e.to_string())?;
                 Ok((emb, true))
             }

@@ -129,10 +129,6 @@ pub struct ServeConfig {
     /// Hard in-flight request ceiling: admission beyond this sheds the
     /// request with [`crate::ServeError::Overloaded`].
     pub max_inflight: usize,
-    /// Soft pressure threshold: while more than this many requests are in
-    /// flight, exact k-NN degrades to the grid-approximate path (`0`
-    /// disables degradation).
-    pub degrade_inflight: usize,
     /// Default per-request time budget (`None` = unbounded); individual
     /// requests may override it with their own [`crate::Deadline`].
     pub default_deadline: Option<Duration>,
@@ -141,13 +137,9 @@ pub struct ServeConfig {
     pub reload_retries: usize,
     /// Sleep before the first reload retry; doubles per subsequent retry.
     pub reload_backoff: Duration,
-    /// Rows scanned between deadline probes inside k-NN loops.
-    pub deadline_check_every: usize,
-    /// Cell side in meters of the spatial grid backing approximate k-NN.
+    /// Cell side in meters of the grid whose row-major cell bands
+    /// partition a [`crate::ShardedStore`]'s segments into shards.
     pub grid_clen_m: f64,
-    /// Starting Chebyshev cell radius of the approximate candidate search
-    /// (grows until enough candidates are found).
-    pub approx_radius: usize,
     /// Staleness SLO: when the live generation's age exceeds this, the
     /// store's health degrades to [`crate::ServeState::Stale`] (queries
     /// keep being served — stale answers beat no answers — but the breach
@@ -175,13 +167,10 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             max_inflight: 64,
-            degrade_inflight: 48,
             default_deadline: None,
             reload_retries: 3,
             reload_backoff: Duration::from_millis(10),
-            deadline_check_every: 256,
             grid_clen_m: 500.0,
-            approx_radius: 1,
             max_staleness: None,
             ann_threshold: 4096,
             ann_m: 16,
@@ -195,14 +184,13 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// Reads the `SARN_SERVE_*` environment knobs, falling back to the
     /// defaults: `SARN_SERVE_MAX_INFLIGHT` (>= 1),
-    /// `SARN_SERVE_DEGRADE_INFLIGHT` (`0` disables degradation),
     /// `SARN_SERVE_DEADLINE_MS` (`0` = unbounded),
     /// `SARN_SERVE_RELOAD_RETRIES` (`0` = no retries),
     /// `SARN_SERVE_RELOAD_BACKOFF_MS` (>= 1), `SARN_SERVE_CLEN_M`
-    /// (finite, > 0), `SARN_SERVE_APPROX_RADIUS` (>= 1),
-    /// `SARN_SERVE_MAX_STALENESS_S` (`0` = no staleness SLO; fractional
-    /// seconds accepted), plus the ANN knobs: `SARN_ANN_THRESHOLD`
-    /// (positive row count, or `inf`/`off`/`none` to disable ANN),
+    /// (finite, > 0), `SARN_SERVE_MAX_STALENESS_S` (`0` = no staleness
+    /// SLO; fractional seconds accepted), plus the ANN knobs:
+    /// `SARN_ANN_THRESHOLD` (positive row count, or `inf`/`off`/`none`
+    /// to disable ANN),
     /// `SARN_ANN_M` (>= 2), `SARN_ANN_EF_CONSTRUCTION` (>= 1),
     /// `SARN_ANN_EF_SEARCH` (>= 1), and `SARN_ANN_SEED` (any u64).
     ///
@@ -214,7 +202,6 @@ impl ServeConfig {
         let max_staleness_s = env_f64_nonneg("SARN_SERVE_MAX_STALENESS_S", 0.0)?;
         Ok(Self {
             max_inflight: env_usize_min("SARN_SERVE_MAX_INFLIGHT", d.max_inflight, 1)?,
-            degrade_inflight: env_usize_min("SARN_SERVE_DEGRADE_INFLIGHT", d.degrade_inflight, 0)?,
             default_deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
             reload_retries: env_usize_min("SARN_SERVE_RELOAD_RETRIES", d.reload_retries, 0)?,
             reload_backoff: Duration::from_millis(env_u64_min(
@@ -222,9 +209,7 @@ impl ServeConfig {
                 d.reload_backoff.as_millis() as u64,
                 1,
             )?),
-            deadline_check_every: d.deadline_check_every,
             grid_clen_m: env_f64_pos("SARN_SERVE_CLEN_M", d.grid_clen_m)?,
-            approx_radius: env_usize_min("SARN_SERVE_APPROX_RADIUS", d.approx_radius, 1)?,
             max_staleness: (max_staleness_s > 0.0)
                 .then(|| Duration::from_secs_f64(max_staleness_s)),
             ann_threshold: env_ann_threshold("SARN_ANN_THRESHOLD", d.ann_threshold)?,
@@ -365,10 +350,10 @@ mod tests {
     #[test]
     fn defaults_are_coherent() {
         let d = ServeConfig::default();
-        assert!(d.degrade_inflight < d.max_inflight);
+        assert!(d.max_inflight >= 1);
         assert!(d.default_deadline.is_none());
         assert!(d.reload_backoff > Duration::ZERO);
-        assert!(d.deadline_check_every > 0);
+        assert!(d.grid_clen_m > 0.0);
         assert!(d.ann_m >= 2);
         assert!(d.ann_ef_construction >= d.ann_m);
         assert!(d.ann_ef_search >= 1);
@@ -393,12 +378,10 @@ mod tests {
         let cfg = with_env(
             &[
                 ("SARN_SERVE_MAX_INFLIGHT", "8"),
-                ("SARN_SERVE_DEGRADE_INFLIGHT", "0"),
                 ("SARN_SERVE_DEADLINE_MS", "0"),
                 ("SARN_SERVE_RELOAD_RETRIES", "0"),
                 ("SARN_SERVE_RELOAD_BACKOFF_MS", "5"),
                 ("SARN_SERVE_CLEN_M", "250.5"),
-                ("SARN_SERVE_APPROX_RADIUS", "2"),
                 ("SARN_SERVE_MAX_STALENESS_S", "1.5"),
                 ("SARN_ANN_THRESHOLD", "512"),
                 ("SARN_ANN_M", "8"),
@@ -409,12 +392,10 @@ mod tests {
             || ServeConfig::from_env().expect("valid overrides"),
         );
         assert_eq!(cfg.max_inflight, 8);
-        assert_eq!(cfg.degrade_inflight, 0, "zero disables degradation");
         assert!(cfg.default_deadline.is_none(), "zero means unbounded");
         assert_eq!(cfg.reload_retries, 0);
         assert_eq!(cfg.reload_backoff, Duration::from_millis(5));
         assert_eq!(cfg.grid_clen_m, 250.5);
-        assert_eq!(cfg.approx_radius, 2);
         assert_eq!(cfg.max_staleness, Some(Duration::from_secs_f64(1.5)));
         assert_eq!(cfg.ann_threshold, 512);
         assert_eq!(cfg.ann_m, 8);
@@ -435,47 +416,60 @@ mod tests {
         }
     }
 
+    /// Malformed values for every `ServeConfig::from_env` knob.
+    const SERVE_MALFORMED: &[(&str, &str)] = &[
+        ("SARN_SERVE_MAX_INFLIGHT", "zero"),
+        ("SARN_SERVE_MAX_INFLIGHT", "0"),
+        ("SARN_SERVE_MAX_INFLIGHT", "-3"),
+        ("SARN_SERVE_DEADLINE_MS", "fast"),
+        ("SARN_SERVE_DEADLINE_MS", "-5"),
+        ("SARN_SERVE_RELOAD_RETRIES", "3.5"),
+        ("SARN_SERVE_RELOAD_BACKOFF_MS", "0"),
+        ("SARN_SERVE_RELOAD_BACKOFF_MS", "soon"),
+        ("SARN_SERVE_CLEN_M", "0"),
+        ("SARN_SERVE_CLEN_M", "-100"),
+        ("SARN_SERVE_CLEN_M", "NaN"),
+        ("SARN_SERVE_CLEN_M", "wide"),
+        ("SARN_SERVE_MAX_STALENESS_S", "-1"),
+        ("SARN_SERVE_MAX_STALENESS_S", "inf"),
+        ("SARN_SERVE_MAX_STALENESS_S", "fresh"),
+        ("SARN_ANN_THRESHOLD", "0"),
+        ("SARN_ANN_THRESHOLD", "-1"),
+        ("SARN_ANN_THRESHOLD", "never"),
+        ("SARN_ANN_M", "1"),
+        ("SARN_ANN_M", "sixteen"),
+        ("SARN_ANN_EF_CONSTRUCTION", "0"),
+        ("SARN_ANN_EF_SEARCH", "0"),
+        ("SARN_ANN_EF_SEARCH", "-8"),
+        ("SARN_ANN_SEED", "-1"),
+        ("SARN_ANN_SEED", "random"),
+    ];
+
+    /// Malformed values for every `RouterConfig::from_env` knob.
+    const ROUTER_MALFORMED: &[(&str, &str)] = &[
+        ("SARN_SERVE_SHARDS", "0"),
+        ("SARN_SERVE_SHARDS", "-2"),
+        ("SARN_SERVE_SHARDS", "four"),
+        ("SARN_SERVE_MIN_SHARDS", "0"),
+        ("SARN_SERVE_BREAKER_THRESHOLD", "0"),
+        ("SARN_SERVE_BREAKER_THRESHOLD", "often"),
+        ("SARN_SERVE_BREAKER_COOLDOWN_MS", "0"),
+        ("SARN_SERVE_BREAKER_COOLDOWN_MS", "-10"),
+        ("SARN_SERVE_SHARD_RETRIES", "-1"),
+        ("SARN_SERVE_SHARD_BACKOFF_MS", "0"),
+        ("SARN_SERVE_ROUTER_MAX_INFLIGHT", "0"),
+    ];
+
     /// Every knob, one by one: a malformed value is a typed error that
     /// names the variable (satellite contract — no silent fallback).
     #[test]
     fn each_serve_knob_rejects_malformed_values_by_name() {
-        let cases: &[(&'static str, &str)] = &[
-            ("SARN_SERVE_MAX_INFLIGHT", "zero"),
-            ("SARN_SERVE_MAX_INFLIGHT", "0"),
-            ("SARN_SERVE_MAX_INFLIGHT", "-3"),
-            ("SARN_SERVE_DEGRADE_INFLIGHT", "many"),
-            ("SARN_SERVE_DEGRADE_INFLIGHT", "-1"),
-            ("SARN_SERVE_DEADLINE_MS", "fast"),
-            ("SARN_SERVE_DEADLINE_MS", "-5"),
-            ("SARN_SERVE_RELOAD_RETRIES", "3.5"),
-            ("SARN_SERVE_RELOAD_BACKOFF_MS", "0"),
-            ("SARN_SERVE_RELOAD_BACKOFF_MS", "soon"),
-            ("SARN_SERVE_CLEN_M", "0"),
-            ("SARN_SERVE_CLEN_M", "-100"),
-            ("SARN_SERVE_CLEN_M", "NaN"),
-            ("SARN_SERVE_CLEN_M", "wide"),
-            ("SARN_SERVE_APPROX_RADIUS", "0"),
-            ("SARN_SERVE_APPROX_RADIUS", "near"),
-            ("SARN_SERVE_MAX_STALENESS_S", "-1"),
-            ("SARN_SERVE_MAX_STALENESS_S", "inf"),
-            ("SARN_SERVE_MAX_STALENESS_S", "fresh"),
-            ("SARN_ANN_THRESHOLD", "0"),
-            ("SARN_ANN_THRESHOLD", "-1"),
-            ("SARN_ANN_THRESHOLD", "never"),
-            ("SARN_ANN_M", "1"),
-            ("SARN_ANN_M", "sixteen"),
-            ("SARN_ANN_EF_CONSTRUCTION", "0"),
-            ("SARN_ANN_EF_SEARCH", "0"),
-            ("SARN_ANN_EF_SEARCH", "-8"),
-            ("SARN_ANN_SEED", "-1"),
-            ("SARN_ANN_SEED", "random"),
-        ];
-        for (var, bad) in cases {
+        for &(var, bad) in SERVE_MALFORMED {
             let err = with_env(&[(var, bad)], || {
                 ServeConfig::from_env().expect_err("malformed value must not default")
             });
-            assert_eq!(err.var, *var, "wrong variable named for {var}={bad}");
-            assert_eq!(err.value, *bad);
+            assert_eq!(err.var, var, "wrong variable named for {var}={bad}");
+            assert_eq!(err.value, bad);
             let msg = err.to_string();
             assert!(
                 msg.contains(var) && msg.contains(bad),
@@ -486,24 +480,44 @@ mod tests {
 
     #[test]
     fn each_router_knob_rejects_malformed_values_by_name() {
-        let cases: &[(&'static str, &str)] = &[
-            ("SARN_SERVE_SHARDS", "0"),
-            ("SARN_SERVE_SHARDS", "-2"),
-            ("SARN_SERVE_SHARDS", "four"),
-            ("SARN_SERVE_MIN_SHARDS", "0"),
-            ("SARN_SERVE_BREAKER_THRESHOLD", "0"),
-            ("SARN_SERVE_BREAKER_THRESHOLD", "often"),
-            ("SARN_SERVE_BREAKER_COOLDOWN_MS", "0"),
-            ("SARN_SERVE_BREAKER_COOLDOWN_MS", "-10"),
-            ("SARN_SERVE_SHARD_RETRIES", "-1"),
-            ("SARN_SERVE_SHARD_BACKOFF_MS", "0"),
-            ("SARN_SERVE_ROUTER_MAX_INFLIGHT", "0"),
-        ];
-        for (var, bad) in cases {
+        for &(var, bad) in ROUTER_MALFORMED {
             let err = with_env(&[(var, bad)], || {
                 RouterConfig::from_env().expect_err("malformed value must not default")
             });
-            assert_eq!(err.var, *var, "wrong variable named for {var}={bad}");
+            assert_eq!(err.var, var, "wrong variable named for {var}={bad}");
+        }
+    }
+
+    /// Whether `read` rejects a malformed `var`, naming it.
+    fn rejects_by_name<T>(var: &'static str, read: fn() -> Result<T, ConfigError>) -> bool {
+        with_env(&[(var, "malformed")], read)
+            .err()
+            .is_some_and(|e| e.var == var)
+    }
+
+    /// The README knob tables and the two env readers agree in both
+    /// directions, so a documented knob cannot outlive its reader and a
+    /// read knob cannot go undocumented.
+    #[test]
+    fn readme_knob_tables_match_the_env_readers() {
+        let documented: Vec<&'static str> = include_str!("../../../README.md")
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+            .filter(|var| var.starts_with("SARN_SERVE_") || var.starts_with("SARN_ANN_"))
+            .collect();
+        assert!(!documented.is_empty(), "no serving knob table in README");
+        for &var in &documented {
+            assert!(
+                rejects_by_name(var, ServeConfig::from_env)
+                    || rejects_by_name(var, RouterConfig::from_env),
+                "README documents {var}, which neither from_env reads"
+            );
+        }
+        for &(var, _) in SERVE_MALFORMED.iter().chain(ROUTER_MALFORMED) {
+            assert!(
+                documented.contains(&var),
+                "{var} is read but has no README knob table row"
+            );
         }
     }
 

@@ -6,16 +6,14 @@ use crate::error::ServeError;
 
 /// A per-request deadline: a start instant plus an optional budget.
 ///
-/// Query paths call [`Deadline::check`] at bounded intervals (every
-/// [`crate::ServeConfig::deadline_check_every`] rows inside k-NN scans),
-/// so a request against a huge generation returns a typed
+/// Query paths call [`Deadline::check`] at bounded intervals (every few
+/// hundred rows inside the exact k-NN scan), so a request against a huge generation returns a typed
 /// [`ServeError::DeadlineExceeded`] within one probe interval of its
 /// budget instead of holding its admission slot indefinitely.
 ///
 /// Hot scan loops hoist [`Deadline::expires_at`] once and probe with
 /// [`Deadline::check_against`], so each probe is a single clock read and
-/// a comparison instead of re-deriving the expiry every
-/// `deadline_check_every` rows. Fan-out paths (the shard router) carve
+/// a comparison instead of re-deriving the expiry at every probe. Fan-out paths (the shard router) carve
 /// the *remaining* budget into per-shard slices with [`Deadline::split`].
 #[derive(Clone, Copy, Debug)]
 pub struct Deadline {

@@ -50,15 +50,16 @@ pub enum ServeError {
         /// What was wrong with it.
         defect: EmbeddingDefect,
     },
-    /// The spatial grid backing approximate k-NN could not be built from
-    /// the network's bounding box and the configured cell side.
+    /// The grid whose cell bands partition a sharded store could not be
+    /// built from the network's bounding box and the configured cell
+    /// side.
     Grid(GridError),
     /// A `SARN_SERVE_*` environment knob held a malformed value — named,
     /// not silently defaulted (see [`crate::ConfigError`]).
     Config(crate::ConfigError),
     /// Too few shards answered a fan-out query: fewer than the router's
-    /// configured minimum contributed results, so even a degraded partial
-    /// answer is not available. Responses *above* the minimum succeed and
+    /// configured minimum contributed results, so not even a partial
+    /// answer is available. Responses *above* the minimum succeed and
     /// carry the shortfall in their typed `Coverage` report instead.
     PartialCoverage {
         /// Shards that contributed results.

@@ -20,14 +20,14 @@
 //!   slow/failing I/O via [`LoadFault`] — leaves the previous generation
 //!   serving and surfaces as a typed [`ServeError`] plus a degraded
 //!   [`HealthReport`], never a panic.
-//! - **Deadline-guarded queries.** Embedding lookup, exact k-NN, and
-//!   grid-bucketed approximate k-NN (reusing [`sarn_geo::Grid`]) each
-//!   honor a per-request [`Deadline`], checked at bounded intervals inside
-//!   the scans.
+//! - **One cosine k-NN path.** Embedding lookup and k-NN each honor a
+//!   per-request [`Deadline`]. k-NN searches the generation's HNSW index
+//!   once it is ready (generations of at least
+//!   [`ServeConfig::ann_threshold`] rows) and otherwise — or when the
+//!   search fails — runs the exact scan, deadline-checked at bounded
+//!   intervals.
 //! - **Bounded admission and load shedding.** A fixed in-flight budget
-//!   sheds excess requests with [`ServeError::Overloaded`]; between the
-//!   degrade threshold and the shed ceiling, exact k-NN transparently
-//!   downgrades to the grid-approximate path and says so in the response.
+//!   sheds excess requests with a typed [`ServeError::Overloaded`].
 //! - **Staleness SLO.** With [`ServeConfig::max_staleness`] set (env:
 //!   `SARN_SERVE_MAX_STALENESS_S`), a generation that outlives its budget
 //!   turns the health report [`ServeState::Stale`] — queries keep being
@@ -44,11 +44,13 @@
 //! (closed → open → half-open with a single probed recovery slot),
 //! [`Deadline::split`] budget slices, bounded doubling-backoff retries
 //! (every shard attempt runs inline on the calling thread), and typed
-//! [`Coverage`] reports: failed shards degrade the answer
-//! (answered / degraded-to-ANN or -approx / quarantined / failed per
-//! shard) instead of failing it, until fewer than `min_shards` contribute
-//! ([`ServeError::PartialCoverage`]). With every shard healthy the merged
-//! answer is bitwise identical to the single combined store's.
+//! [`Coverage`] reports: a failed shard drops its rows from the answer
+//! (answered / quarantined / failed per shard) instead of failing it,
+//! until fewer than `min_shards` contribute
+//! ([`ServeError::PartialCoverage`]). With every shard healthy and below
+//! the ANN threshold the merged answer is bitwise identical to the
+//! single combined store's; with HNSW shards its contract is recall@10
+//! against the exact scan.
 //!
 //! The serving state machine (DESIGN.md §10):
 //!

@@ -10,31 +10,38 @@
 //! 2. **Budgeted attempt** — the request [`Deadline`] is carved with
 //!    [`Deadline::split`] so one slow shard can burn only its slice of
 //!    the budget, with bounded doubling-backoff retries on typed
-//!    failures.
-//! 3. **Degrade** — a shard whose exact leg exhausts retries walks the
-//!    degrade ladder: first the *ANN* leg (the shard's HNSW index, when
-//!    one is ready — approximate neighbors at full candidate coverage),
-//!    then the *grid-approximate* leg (grid candidates only, a few rows
-//!    instead of a scan), each reported as degraded coverage.
+//!    failures. Each attempt is the shard's one k-NN leg
+//!    ([`EmbeddingStore::knn_vector`]): its HNSW index when one is
+//!    ready, else — or when the index search fails — the exact scan.
 //!
-//! The router fires no hedged duplicates: its shards are in-process
-//! scans on the caller's own cores, so a duplicate attempt would repeat
-//! the same work rather than escape a slow replica.
+//! The router fires no hedged duplicates and tries no second, cheaper
+//! leg: its shards are in-process scans on the caller's own cores, so
+//! another attempt would repeat the same work rather than escape a slow
+//! replica, and would meet the same snapshot and admission limit that
+//! failed the first. A shard that still fails after its retries is
+//! dropped from the answer rather than failing it: the response carries
+//! a typed [`Coverage`] report (answered / quarantined / failed per
+//! shard) and only falls to a typed [`ServeError::PartialCoverage`] when
+//! fewer than `min_shards` contributed. Every breaker transition,
+//! quarantine boundary, and partial answer is journaled and counted
+//! through `sarn-obs`.
 //!
-//! Shards that still fail are dropped from the answer rather than
-//! failing it: the response carries a typed [`Coverage`] report
-//! (answered / degraded / quarantined / failed per shard) and only falls
-//! to a typed [`ServeError::PartialCoverage`] when fewer than
-//! `min_shards` contributed. Every breaker transition, quarantine
-//! boundary, and partial answer is journaled and counted through
-//! `sarn-obs`.
+//! ## Contract
 //!
-//! With all shards healthy the merged answer is **bitwise identical** to
-//! a single combined [`crate::EmbeddingStore`]: shard rows hold the same
-//! bytes, scoring runs the same kernel in the same operand order, and
-//! the shared `top_k` comparator is a strict total order over unique
-//! ids, so per-shard top-k union merges to exactly the single-store
-//! neighbor list (see `tests/sys/tests/router_sharded.rs`).
+//! What the suites prove, per regime:
+//!
+//! - **Exact-scan shards** (below [`crate::ServeConfig::ann_threshold`]
+//!   rows, or no ready index): with all shards healthy the merged answer
+//!   is **bitwise identical** to a single combined
+//!   [`crate::EmbeddingStore`]. Shard rows hold the same bytes, scoring
+//!   runs the same kernel in the same operand order, and the shared
+//!   `top_k` comparator is a strict total order over unique ids, so the
+//!   union of per-shard top-k lists merges to exactly the single-store
+//!   neighbor list (`crates/serve/tests/router.rs`,
+//!   `tests/sys/tests/router_sharded.rs`).
+//! - **HNSW shards**: a routed answer is the union of per-shard
+//!   approximate answers. Its contract is recall@10 against the exact
+//!   scan, which the benchmark's `knn_read` workload checks at >= 0.95.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
@@ -49,10 +56,6 @@ use crate::store::{
     lock_recovering, top_k, EmbeddingStore, HealthReport, IndexState, ServeState, ShardHealth,
     Ticket,
 };
-
-/// One fan-out leg: the shard runtime plus, on the approximate path,
-/// the local rows it scores (`None` = full scan).
-type Leg<'a> = (&'a ShardRuntime, Option<Vec<usize>>);
 
 /// Deterministic, test-only sabotage of one shard's *query* path — the
 /// serving analogue of [`LoadFault`], driving the chaos tests: transient
@@ -76,13 +79,8 @@ pub struct ShardFault {
 /// How one shard contributed to a fan-out answer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardOutcome {
-    /// Contributed its exact leg.
+    /// Contributed its k-NN leg.
     Answered,
-    /// Its exact leg failed; contributed its ready HNSW index's
-    /// approximate neighbors instead (first rung of the degrade ladder).
-    DegradedAnn,
-    /// Its exact leg failed; contributed grid-approximate scores instead.
-    DegradedApprox,
     /// Breaker open: routed around, not consulted.
     Quarantined,
     /// Consulted but every attempt failed; its rows are missing.
@@ -98,30 +96,28 @@ pub struct ShardCoverage {
     pub outcome: ShardOutcome,
     /// Generation it answered with (its last known one when skipped).
     pub generation: Option<u64>,
-    /// The typed error that cost this shard its exact leg, rendered
-    /// (`None` unless the outcome is degraded or failed).
+    /// The typed error of the shard's last failed attempt, rendered
+    /// (`None` unless the outcome is failed).
     pub error: Option<String>,
 }
 
 /// The typed partial-result report carried by every routed answer
-/// instead of an error: which shards answered, which degraded to the
-/// approximate leg, which were quarantined or failed outright.
+/// instead of an error: which shards answered, which were quarantined
+/// or failed outright.
 #[derive(Clone, Debug)]
 pub struct Coverage {
     /// Shards in the fan-out (full coverage = this many answered).
     pub total: usize,
-    /// Shards that contributed rows (exact or degraded).
+    /// Shards that contributed rows.
     pub answered: usize,
-    /// Of the answered, how many degraded to the approximate leg.
-    pub degraded: usize,
     /// Per-shard outcomes, shard-id ascending.
     pub shards: Vec<ShardCoverage>,
 }
 
 impl Coverage {
-    /// `true` when every shard answered its exact leg.
+    /// `true` when every shard answered.
     pub fn complete(&self) -> bool {
-        self.answered == self.total && self.degraded == 0
+        self.answered == self.total
     }
 }
 
@@ -165,12 +161,10 @@ impl ShardRuntime {
         lock_recovering(&self.fault).is_some_and(|f| f.force_stale)
     }
 
-    /// One attempt at this shard's query leg: consume one fault-injection
-    /// step, run the leg (full scan, or the explicit `rows`), map local
-    /// ids back to global.
+    /// One attempt at this shard's k-NN leg: consume one fault-injection
+    /// step, run the leg, map local ids back to global.
     fn attempt(
         &self,
-        rows: Option<&[usize]>,
         query: &[f32],
         query_norm: f32,
         exclude: Option<usize>,
@@ -178,28 +172,17 @@ impl ShardRuntime {
         slice: Deadline,
     ) -> Result<ShardPartial, ServeError> {
         self.apply_fault()?;
-        match rows {
-            None => {
-                let knn = self
-                    .store
-                    .knn_vector(query, query_norm, exclude, k, slice)?;
-                Ok(self.partial(&knn.neighbors, knn.generation))
-            }
-            Some(locals) => {
-                let (scored, generation) = self
-                    .store
-                    .score_vector(query, query_norm, locals, exclude, slice)?;
-                Ok(self.partial(&scored, generation))
-            }
-        }
-    }
-
-    /// Maps a shard-local `(row, score)` answer onto global segment ids.
-    fn partial(&self, local: &[(usize, f32)], generation: u64) -> ShardPartial {
-        ShardPartial {
-            pairs: local.iter().map(|&(l, s)| (self.globals[l], s)).collect(),
-            generation,
-        }
+        let knn = self
+            .store
+            .knn_vector(query, query_norm, exclude, k, slice)?;
+        Ok(ShardPartial {
+            pairs: knn
+                .neighbors
+                .iter()
+                .map(|&(l, s)| (self.globals[l], s))
+                .collect(),
+            generation: knn.generation,
+        })
     }
 }
 
@@ -218,7 +201,7 @@ enum ShardResult {
 
 /// The shard router: fronts a [`ShardedStore`] with per-shard circuit
 /// breakers, deadline-budget fan-out, bounded retries, and typed
-/// partial-coverage degradation. See the module docs for the pipeline.
+/// partial coverage. See the module docs for the pipeline.
 pub struct Router {
     sharded: ShardedStore,
     rcfg: RouterConfig,
@@ -307,7 +290,7 @@ impl Router {
         let max_inflight = self.rcfg.router_max_inflight;
         Ticket::claim(&self.inflight, max_inflight).map_err(|inflight| {
             self.shed.fetch_add(1, AtomicOrdering::Relaxed);
-            sarn_obs::counter("sarn_serve_router_shed_total").inc();
+            sarn_obs::counter!("sarn_serve_router_shed_total").inc();
             ServeError::Overloaded {
                 inflight,
                 max_inflight,
@@ -319,7 +302,7 @@ impl Router {
 
     fn journal_transition(&self, rt: &ShardRuntime, (from, to): Transition) {
         let consecutive_failures = rt.breaker.consecutive_failures();
-        sarn_obs::counter("sarn_serve_breaker_transitions_total").inc();
+        sarn_obs::counter!("sarn_serve_breaker_transitions_total").inc();
         sarn_obs::record(sarn_obs::Event::BreakerTransition {
             shard: rt.index,
             from: from.name().to_string(),
@@ -328,7 +311,7 @@ impl Router {
         });
         match (from, to) {
             (BreakerState::Closed, BreakerState::Open) => {
-                sarn_obs::counter("sarn_serve_quarantine_total").inc();
+                sarn_obs::counter!("sarn_serve_quarantine_total").inc();
                 sarn_obs::record(sarn_obs::Event::QuarantineEnter {
                     shard: rt.index,
                     consecutive_failures,
@@ -423,9 +406,11 @@ impl Router {
 
     // ---- queries ---------------------------------------------------------
 
-    /// Exact k-NN fan-out across every shard: bitwise identical to
+    /// k-NN fan-out across every shard: bitwise identical to
     /// [`EmbeddingStore::knn`] on a combined store when all shards are
-    /// healthy, partial (with typed [`Coverage`]) when they are not.
+    /// healthy and below the ANN threshold, partial (with typed
+    /// [`Coverage`]) when shards fail. See the module docs for the
+    /// contract with HNSW shards.
     pub fn knn(
         &self,
         segment: usize,
@@ -433,52 +418,6 @@ impl Router {
         deadline: Deadline,
     ) -> Result<RoutedKnn, ServeError> {
         let _ticket = self.try_ticket()?;
-        self.knn_fanout(segment, k, deadline, false)
-    }
-
-    /// Approximate k-NN fan-out: candidates come from the router's global
-    /// grid (the exact expansion the single store runs), each shard
-    /// scores only its own candidate rows. Bitwise identical to
-    /// [`EmbeddingStore::knn_approx`] on a combined store when healthy.
-    pub fn knn_approx(
-        &self,
-        segment: usize,
-        k: usize,
-        deadline: Deadline,
-    ) -> Result<RoutedKnn, ServeError> {
-        let _ticket = self.try_ticket()?;
-        self.knn_fanout(segment, k, deadline, true)
-    }
-
-    /// Batched fan-out, amortizing the per-request admission work: one
-    /// router ticket covers the whole batch, and request `i` of `m` gets
-    /// a [`Deadline::split`] slice of whatever budget the earlier
-    /// requests left (early finishers donate their surplus). Per-request
-    /// failures stay per-request — one bad segment id does not fail its
-    /// batch-mates.
-    pub fn knn_batch(
-        &self,
-        segments: &[usize],
-        k: usize,
-        deadline: Deadline,
-    ) -> Result<Vec<Result<RoutedKnn, ServeError>>, ServeError> {
-        let _ticket = self.try_ticket()?;
-        let m = segments.len();
-        let mut answers = Vec::with_capacity(m);
-        for (i, &segment) in segments.iter().enumerate() {
-            let slice = deadline.split(m - i);
-            answers.push(self.knn_fanout(segment, k, slice, false));
-        }
-        Ok(answers)
-    }
-
-    fn knn_fanout(
-        &self,
-        segment: usize,
-        k: usize,
-        deadline: Deadline,
-        approx: bool,
-    ) -> Result<RoutedKnn, ServeError> {
         let _latency = sarn_obs::span!("sarn_serve_router_knn_seconds");
         deadline.check()?;
         let (owner, local) = self.sharded.locate(segment)?;
@@ -496,109 +435,45 @@ impl Router {
         let query_norm = owner_gen.row_norm(local);
         drop(owner_gen);
 
-        // Which shards this query consults, with the rows each scores.
-        // Exact: every shard, full scan. Approx: only shards owning
-        // global-grid candidates, scoring exactly those rows.
-        let mut legs: Vec<Leg> = Vec::new();
-        if approx {
-            let candidates = self.sharded.approx_candidates(segment, k, deadline)?;
-            let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.runtimes.len()];
-            for g in candidates {
-                let (si, li) = self.sharded.locate(g)?;
-                per_shard[si].push(li);
-            }
-            for (si, locals) in per_shard.into_iter().enumerate() {
-                if !locals.is_empty() {
-                    legs.push((&self.runtimes[si], Some(locals)));
-                }
-            }
-        } else {
-            legs.extend(self.runtimes.iter().map(|rt| (rt, None)));
-        }
-
-        let total = legs.len();
+        let total = self.runtimes.len();
         let mut merged: Vec<(usize, f32)> = Vec::new();
         let mut shards_cov: Vec<ShardCoverage> = Vec::with_capacity(total);
-        let (mut answered, mut degraded) = (0usize, 0usize);
-        for (i, (rt, rows)) in legs.into_iter().enumerate() {
+        let mut answered = 0usize;
+        for (i, rt) in self.runtimes.iter().enumerate() {
             // Divide what is left of the budget among the shards still
             // waiting: early fast shards donate surplus to later ones.
             let slice = deadline.split(total - i);
             let exclude = (rt.index == owner).then_some(local);
-            let attempt = || rt.attempt(rows.as_deref(), &query, query_norm, exclude, k, slice);
-            match self.query_shard(rt, attempt, &slice) {
+            let attempt = || rt.attempt(&query, query_norm, exclude, k, slice);
+            let (outcome, generation, error) = match self.query_shard(rt, attempt, &slice) {
                 ShardResult::Answered(p) => {
                     merged.extend(p.pairs);
                     answered += 1;
-                    shards_cov.push(ShardCoverage {
-                        shard: rt.index,
-                        outcome: ShardOutcome::Answered,
-                        generation: Some(p.generation),
-                        error: None,
-                    });
+                    (ShardOutcome::Answered, Some(p.generation), None)
                 }
-                ShardResult::Quarantined => shards_cov.push(ShardCoverage {
-                    shard: rt.index,
-                    outcome: ShardOutcome::Quarantined,
-                    generation: rt.store.generation(),
-                    error: None,
-                }),
-                ShardResult::Failed(e) if !approx => {
-                    // Degrade ladder: rescue this shard's contribution
-                    // with its ready ANN index first (full candidate
-                    // coverage, approximate ranking), then the cheap
-                    // grid-approximate leg, before giving up on it.
-                    sarn_obs::counter("sarn_serve_shard_failed_total").inc();
-                    let rescue = self
-                        .ann_leg(rt, &query, query_norm, exclude, k, &deadline)
-                        .map(|p| (p, ShardOutcome::DegradedAnn))
-                        .or_else(|| {
-                            self.degraded_leg(
-                                rt, segment, &query, query_norm, exclude, k, &deadline,
-                            )
-                            .map(|p| (p, ShardOutcome::DegradedApprox))
-                        });
-                    match rescue {
-                        Some((p, outcome)) => {
-                            merged.extend(p.pairs);
-                            answered += 1;
-                            degraded += 1;
-                            let rung = if outcome == ShardOutcome::DegradedAnn {
-                                "sarn_serve_router_ann_rescue_total"
-                            } else {
-                                "sarn_serve_router_degraded_total"
-                            };
-                            sarn_obs::counter(rung).inc();
-                            shards_cov.push(ShardCoverage {
-                                shard: rt.index,
-                                outcome,
-                                generation: Some(p.generation),
-                                error: Some(e.to_string()),
-                            });
-                        }
-                        None => shards_cov.push(ShardCoverage {
-                            shard: rt.index,
-                            outcome: ShardOutcome::Failed,
-                            generation: rt.store.generation(),
-                            error: Some(e.to_string()),
-                        }),
-                    }
+                ShardResult::Quarantined => {
+                    (ShardOutcome::Quarantined, rt.store.generation(), None)
                 }
                 ShardResult::Failed(e) => {
-                    sarn_obs::counter("sarn_serve_shard_failed_total").inc();
-                    shards_cov.push(ShardCoverage {
-                        shard: rt.index,
-                        outcome: ShardOutcome::Failed,
-                        generation: rt.store.generation(),
-                        error: Some(e.to_string()),
-                    })
+                    sarn_obs::counter!("sarn_serve_shard_failed_total").inc();
+                    (
+                        ShardOutcome::Failed,
+                        rt.store.generation(),
+                        Some(e.to_string()),
+                    )
                 }
-            }
+            };
+            shards_cov.push(ShardCoverage {
+                shard: rt.index,
+                outcome,
+                generation,
+                error,
+            });
         }
 
         let min_shards = self.rcfg.min_shards.min(total.max(1));
         if answered < min_shards {
-            sarn_obs::counter("sarn_serve_router_refused_total").inc();
+            sarn_obs::counter!("sarn_serve_router_refused_total").inc();
             return Err(ServeError::PartialCoverage {
                 answered,
                 total,
@@ -608,12 +483,11 @@ impl Router {
         let coverage = Coverage {
             total,
             answered,
-            degraded,
             shards: shards_cov,
         };
         if !coverage.complete() {
             self.partial.fetch_add(1, AtomicOrdering::Relaxed);
-            sarn_obs::counter("sarn_serve_partial_total").inc();
+            sarn_obs::counter!("sarn_serve_partial_total").inc();
             sarn_obs::record(sarn_obs::Event::PartialCoverage { answered, total });
         }
         self.served.fetch_add(1, AtomicOrdering::Relaxed);
@@ -621,59 +495,6 @@ impl Router {
             neighbors: top_k(merged, k),
             coverage,
         })
-    }
-
-    /// The ANN rescue leg: answer from this shard's HNSW index when one
-    /// is ready (`None` otherwise — absent, building, or fell back),
-    /// outside the breaker (it already recorded the exact leg's failure)
-    /// and with one slice of whatever budget remains.
-    fn ann_leg(
-        &self,
-        rt: &ShardRuntime,
-        query: &[f32],
-        query_norm: f32,
-        exclude: Option<usize>,
-        k: usize,
-        deadline: &Deadline,
-    ) -> Option<ShardPartial> {
-        let slice = deadline.split(1);
-        rt.apply_fault().ok()?;
-        let knn = rt
-            .store
-            .knn_vector_ann(query, query_norm, exclude, k, slice)
-            .ok()?;
-        Some(rt.partial(&knn.neighbors, knn.generation))
-    }
-
-    /// The degraded rescue leg: score only this shard's global-grid
-    /// candidate rows (a handful instead of a scan), outside the breaker
-    /// (it already recorded the exact leg's failure) and with one slice
-    /// of whatever budget remains.
-    #[allow(clippy::too_many_arguments)]
-    fn degraded_leg(
-        &self,
-        rt: &ShardRuntime,
-        segment: usize,
-        query: &[f32],
-        query_norm: f32,
-        exclude: Option<usize>,
-        k: usize,
-        deadline: &Deadline,
-    ) -> Option<ShardPartial> {
-        let slice = deadline.split(1);
-        let candidates = self.sharded.approx_candidates(segment, k, slice).ok()?;
-        let locals: Vec<usize> = candidates
-            .into_iter()
-            .filter_map(|g| {
-                let (si, li) = self.sharded.locate(g).ok()?;
-                (si == rt.index).then_some(li)
-            })
-            .collect();
-        if locals.is_empty() {
-            return None;
-        }
-        rt.attempt(Some(&locals), query, query_norm, exclude, k, slice)
-            .ok()
     }
 
     // ---- health ----------------------------------------------------------
@@ -696,7 +517,7 @@ impl Router {
         let mut shards = Vec::with_capacity(self.runtimes.len());
         let mut worst: Option<ServeState> = None;
         let (mut reloads_ok, mut reloads_failed) = (0u64, 0u64);
-        let (mut shed_total, mut degraded_total, mut served_total) = (0u64, 0u64, 0u64);
+        let (mut shed_total, mut served_total) = (0u64, 0u64);
         let mut consecutive_reload_failures = 0u32;
         let mut last_reload_error = None;
         let mut inflight = 0usize;
@@ -738,7 +559,6 @@ impl Router {
             reloads_ok += h.reloads_ok;
             reloads_failed += h.reloads_failed;
             shed_total += h.shed_total;
-            degraded_total += h.degraded_total;
             served_total += h.served_total;
             inflight += h.inflight;
             consecutive_reload_failures =
@@ -805,7 +625,6 @@ impl Router {
             last_reload_error,
             inflight: inflight + self.inflight.load(AtomicOrdering::Acquire),
             shed_total: shed_total + self.shed.load(AtomicOrdering::Relaxed),
-            degraded_total: degraded_total + self.partial.load(AtomicOrdering::Relaxed),
             served_total: served_total.max(self.served.load(AtomicOrdering::Relaxed)),
             uptime: self.started.elapsed(),
             generation_age: oldest_age,

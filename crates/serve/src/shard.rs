@@ -10,25 +10,19 @@
 //! [`crate::Router`] fronts this layout with breakers, retries, and
 //! coverage accounting.
 //!
-//! The sharded layout also keeps a *global* spatial grid identical to the
-//! one a single combined store would build (same bounding box, same cell
-//! side, same bucket insertion order). Approximate fan-out candidates are
-//! generated from this global grid with exactly the single store's
-//! radius-expansion loop, which is one half of the router's
-//! bitwise-identity guarantee; the other half is that shard rows hold the
-//! same bytes as the combined matrix rows ([`ShardedStore::admit`] slices
-//! with `Tensor::gather_rows`) and are scored by the same kernel in the
-//! same operand order.
+//! Shard rows hold the same bytes as the combined matrix rows
+//! ([`ShardedStore::admit`] slices with `Tensor::gather_rows`) and are
+//! scored by the same kernel in the same operand order — the basis of
+//! the router's bitwise-identity guarantee in the exact-scan regime.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use sarn_geo::{CellId, Grid, Point};
+use sarn_geo::{Grid, Point};
 use sarn_roadnet::RoadNetwork;
 use sarn_tensor::{Tensor, TensorExpectation};
 
 use crate::config::ServeConfig;
-use crate::deadline::Deadline;
 use crate::error::ServeError;
 use crate::store::EmbeddingStore;
 
@@ -41,15 +35,10 @@ pub struct Shard {
     pub globals: Arc<Vec<usize>>,
 }
 
-/// A geo-partitioned set of embedding stores with a shared global grid.
+/// A geo-partitioned set of embedding stores.
 pub struct ShardedStore {
     cfg: ServeConfig,
     dim: usize,
-    grid: Grid,
-    /// Cell of each global segment's midpoint.
-    segment_cell: Vec<CellId>,
-    /// Global segments bucketed by cell (single-store insertion order).
-    buckets: Vec<Vec<usize>>,
     /// Shard index of each global segment.
     shard_of_segment: Vec<usize>,
     /// Local row within its shard of each global segment.
@@ -59,9 +48,11 @@ pub struct ShardedStore {
 
 impl ShardedStore {
     /// Partitions `midpoints` (index = global segment id) into at most
-    /// `num_shards` geo-shards. Cell bands that own no segments are
-    /// compacted away, so [`ShardedStore::num_shards`] may come back
-    /// smaller than requested; every surviving shard is non-empty.
+    /// `num_shards` geo-shards: row-major bands of the
+    /// [`ServeConfig::grid_clen_m`] grid over the midpoints' bounding
+    /// box. Cell bands that own no segments are compacted away, so
+    /// [`ShardedStore::num_shards`] may come back smaller than requested;
+    /// every surviving shard is non-empty.
     pub fn new(
         midpoints: Vec<Point>,
         dim: usize,
@@ -76,14 +67,9 @@ impl ShardedStore {
             )))?;
         let bbox = sarn_geo::BoundingBox::of(std::iter::once(first).chain(it));
         let grid = Grid::try_new(bbox, cfg.grid_clen_m)?;
-        let mut segment_cell = Vec::with_capacity(midpoints.len());
-        let mut buckets = vec![Vec::new(); grid.num_cells()];
         let mut raw_shard = Vec::with_capacity(midpoints.len());
-        for (seg, p) in midpoints.iter().enumerate() {
-            let cell = grid.try_cell_of(p)?;
-            segment_cell.push(cell);
-            buckets[cell].push(seg);
-            raw_shard.push(grid.shard_of(cell, num_shards));
+        for p in &midpoints {
+            raw_shard.push(grid.shard_of(grid.try_cell_of(p)?, num_shards));
         }
         // Compact raw band indices to dense shard ids over non-empty bands.
         let mut band_to_shard = vec![usize::MAX; num_shards.max(1)];
@@ -103,22 +89,18 @@ impl ShardedStore {
         let mut local_of_segment = vec![0usize; midpoints.len()];
         let mut shards = Vec::with_capacity(members.len());
         for (si, globals) in members.into_iter().enumerate() {
-            let sub: Vec<Point> = globals.iter().map(|&g| midpoints[g]).collect();
             for (local, &g) in globals.iter().enumerate() {
                 shard_of_segment[g] = si;
                 local_of_segment[g] = local;
             }
             shards.push(Shard {
-                store: Arc::new(EmbeddingStore::new(sub, dim, cfg)?),
+                store: Arc::new(EmbeddingStore::new(globals.len(), dim, cfg)?),
                 globals: Arc::new(globals),
             });
         }
         Ok(Self {
             cfg,
             dim,
-            grid,
-            segment_cell,
-            buckets,
             shard_of_segment,
             local_of_segment,
             shards,
@@ -257,50 +239,5 @@ impl ShardedStore {
     /// index.
     pub fn save_shard_index(&self, idx: usize, path: impl AsRef<Path>) -> Result<(), ServeError> {
         self.shards[idx].store.save_index(path)
-    }
-
-    // ---- approximate fan-out candidates ----------------------------------
-
-    /// Global candidate ids for an approximate query, generated from the
-    /// global grid with *exactly* the single store's radius-expansion
-    /// loop (`EmbeddingStore::approx_on`): start at the configured
-    /// radius, double until `k` candidates exist or the grid is
-    /// exhausted. Identical grid + identical buckets + identical loop ⇒
-    /// identical candidate set, which keeps the router's approximate path
-    /// bitwise-aligned with the combined store's.
-    pub fn approx_candidates(
-        &self,
-        segment: usize,
-        k: usize,
-        deadline: Deadline,
-    ) -> Result<Vec<usize>, ServeError> {
-        if segment >= self.num_segments() {
-            return Err(ServeError::UnknownSegment {
-                segment,
-                num_segments: self.num_segments(),
-            });
-        }
-        let cell = self.segment_cell[segment];
-        let max_radius = self.grid.nx().max(self.grid.ny());
-        let mut radius = self.cfg.approx_radius;
-        let expires_at = deadline.expires_at();
-        let mut cells: Vec<CellId> = Vec::new();
-        let mut candidates: Vec<usize> = Vec::new();
-        loop {
-            deadline.check_against(expires_at)?;
-            self.grid.neighborhood_into(cell, radius, &mut cells);
-            candidates.clear();
-            candidates.extend(
-                cells
-                    .iter()
-                    .flat_map(|&c| self.buckets[c].iter().copied())
-                    .filter(|&s| s != segment),
-            );
-            if candidates.len() >= k || radius >= max_radius {
-                break;
-            }
-            radius = radius.saturating_mul(2).max(radius + 1);
-        }
-        Ok(candidates)
     }
 }

@@ -7,13 +7,15 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 use sarn_core::{embedding_defect, SarnTrained};
-use sarn_geo::{CellId, Grid, Point};
 use sarn_roadnet::RoadNetwork;
 use sarn_tensor::{Tensor, TensorExpectation};
 
 use crate::config::{LoadFault, ServeConfig};
 use crate::deadline::Deadline;
 use crate::error::ServeError;
+
+/// Rows scanned between deadline probes inside the exact k-NN scans.
+const DEADLINE_CHECK_EVERY: usize = 256;
 
 /// One immutable, published embedding snapshot.
 ///
@@ -231,8 +233,6 @@ pub struct HealthReport {
     pub inflight: usize,
     /// Requests shed with [`ServeError::Overloaded`] over the lifetime.
     pub shed_total: u64,
-    /// Exact k-NN requests degraded to the approximate path.
-    pub degraded_total: u64,
     /// Successfully answered requests.
     pub served_total: u64,
     /// Time since the store was built.
@@ -289,12 +289,11 @@ impl std::fmt::Display for HealthReport {
         }
         write!(
             f,
-            "{:?}: served {}, shed {}, degraded {}, reloads {}/{} ok, inflight {}, \
+            "{:?}: served {}, shed {}, reloads {}/{} ok, inflight {}, \
              up {:.1}s, generation age {}",
             self.state,
             self.served_total,
             self.shed_total,
-            self.degraded_total,
             self.reloads_ok,
             self.reloads_ok + self.reloads_failed,
             self.inflight,
@@ -315,9 +314,6 @@ pub struct Knn {
     pub neighbors: Vec<(usize, f32)>,
     /// Generation the answer was computed against.
     pub generation: u64,
-    /// `true` when an exact request was downgraded to the grid-approximate
-    /// path under load.
-    pub degraded: bool,
     /// `true` when the answer came from the HNSW index rather than an
     /// exact scan.
     pub ann: bool,
@@ -381,12 +377,8 @@ pub(crate) fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// fallback, and deadline/overload-guarded query paths.
 pub struct EmbeddingStore {
     cfg: ServeConfig,
+    num_segments: usize,
     dim: usize,
-    grid: Grid,
-    /// Cell of each segment's midpoint.
-    segment_cell: Vec<CellId>,
-    /// Segments bucketed by cell, for approximate candidate generation.
-    buckets: Vec<Vec<usize>>,
     current: RwLock<Option<Arc<Generation>>>,
     reload_log: Mutex<ReloadLog>,
     fault: Mutex<Option<LoadFault>>,
@@ -398,37 +390,22 @@ pub struct EmbeddingStore {
     inflight: AtomicUsize,
     served: AtomicU64,
     shed: AtomicU64,
-    degraded: AtomicU64,
     started: Instant,
 }
 
 impl EmbeddingStore {
-    /// Builds a store serving embeddings of dimension `dim` for segments
-    /// whose midpoints are `midpoints` (index = segment id). The spatial
-    /// grid for approximate k-NN covers the midpoints' bounding box with
-    /// [`ServeConfig::grid_clen_m`] cells.
-    pub fn new(midpoints: Vec<Point>, dim: usize, cfg: ServeConfig) -> Result<Self, ServeError> {
-        let mut it = midpoints.iter().copied();
-        let first = it
-            .next()
-            .ok_or(ServeError::Load(sarn_tensor::IoError::LayoutMismatch(
+    /// Builds a store serving `num_segments` embeddings (segment ids
+    /// `0..num_segments`) of dimension `dim`.
+    pub fn new(num_segments: usize, dim: usize, cfg: ServeConfig) -> Result<Self, ServeError> {
+        if num_segments == 0 {
+            return Err(ServeError::Load(sarn_tensor::IoError::LayoutMismatch(
                 "a store needs at least one segment".into(),
-            )))?;
-        let bbox = sarn_geo::BoundingBox::of(std::iter::once(first).chain(it));
-        let grid = Grid::try_new(bbox, cfg.grid_clen_m)?;
-        let mut segment_cell = Vec::with_capacity(midpoints.len());
-        let mut buckets = vec![Vec::new(); grid.num_cells()];
-        for (seg, p) in midpoints.iter().enumerate() {
-            let cell = grid.try_cell_of(p)?;
-            segment_cell.push(cell);
-            buckets[cell].push(seg);
+            )));
         }
         Ok(Self {
             cfg,
+            num_segments,
             dim,
-            grid,
-            segment_cell,
-            buckets,
             current: RwLock::new(None),
             reload_log: Mutex::new(ReloadLog::default()),
             fault: Mutex::new(None),
@@ -436,19 +413,17 @@ impl EmbeddingStore {
             inflight: AtomicUsize::new(0),
             served: AtomicU64::new(0),
             shed: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
             started: Instant::now(),
         })
     }
 
-    /// [`EmbeddingStore::new`] over a road network's segment midpoints.
+    /// [`EmbeddingStore::new`] over a road network's segments.
     pub fn for_network(
         net: &RoadNetwork,
         dim: usize,
         cfg: ServeConfig,
     ) -> Result<Self, ServeError> {
-        let midpoints = net.segments().iter().map(|s| s.midpoint()).collect();
-        Self::new(midpoints, dim, cfg)
+        Self::new(net.num_segments(), dim, cfg)
     }
 
     /// The knobs this store was built with.
@@ -458,7 +433,7 @@ impl EmbeddingStore {
 
     /// Number of segments served (expected artifact row count).
     pub fn num_segments(&self) -> usize {
-        self.segment_cell.len()
+        self.num_segments
     }
 
     /// Embedding dimension served (expected artifact column count).
@@ -568,7 +543,7 @@ impl EmbeddingStore {
             Some(IndexSeed::Loaded(idx)) => gen.install_index(Arc::new(idx), 0),
             Some(IndexSeed::FellBack(reason)) => {
                 gen.mark_fell_back();
-                sarn_obs::counter("sarn_serve_ann_fallback_total").inc();
+                sarn_obs::counter!("sarn_serve_ann_fallback_total").inc();
                 sarn_obs::record(sarn_obs::Event::AnnFallback {
                     generation: number,
                     reason,
@@ -649,7 +624,7 @@ impl EmbeddingStore {
                     drop(log);
                     if sarn_obs::enabled() {
                         let seconds = t0.elapsed().as_secs_f64();
-                        sarn_obs::counter("sarn_serve_reloads_ok_total").inc();
+                        sarn_obs::counter!("sarn_serve_reloads_ok_total").inc();
                         sarn_obs::histogram("sarn_serve_reload_seconds").observe(seconds);
                         sarn_obs::record(sarn_obs::Event::ReloadOk {
                             generation: number,
@@ -665,7 +640,7 @@ impl EmbeddingStore {
                         log.consecutive_failures += 1;
                         log.last_error = Some(e.to_string());
                         drop(log);
-                        sarn_obs::counter("sarn_serve_reloads_failed_total").inc();
+                        sarn_obs::counter!("sarn_serve_reloads_failed_total").inc();
                         sarn_obs::record(sarn_obs::Event::ReloadFailed {
                             attempts: attempt + 1,
                             error: e.to_string(),
@@ -771,7 +746,7 @@ impl EmbeddingStore {
         let max_inflight = self.cfg.max_inflight;
         Ticket::claim(&self.inflight, max_inflight).map_err(|inflight| {
             self.shed.fetch_add(1, AtomicOrdering::Relaxed);
-            sarn_obs::counter("sarn_serve_shed_total").inc();
+            sarn_obs::counter!("sarn_serve_shed_total").inc();
             sarn_obs::record(sarn_obs::Event::Shed { inflight });
             ServeError::Overloaded {
                 inflight,
@@ -803,184 +778,37 @@ impl EmbeddingStore {
         Ok(gen.embeddings().row_slice(segment).to_vec())
     }
 
-    /// Exact k-nearest neighbors of a segment by cosine similarity — a
-    /// full scan of the current generation, deadline-checked every
-    /// [`ServeConfig::deadline_check_every`] rows. Above
-    /// [`ServeConfig::degrade_inflight`] in-flight requests the scan
-    /// transparently downgrades to the grid-approximate path and the
-    /// answer says so (`degraded: true`).
+    /// k-nearest neighbors of a segment by cosine similarity against the
+    /// current generation (see [`EmbeddingStore::knn_vector`] for how a
+    /// leg is answered).
     pub fn knn(&self, segment: usize, k: usize, deadline: Deadline) -> Result<Knn, ServeError> {
         let _latency = sarn_obs::span!("sarn_serve_knn_exact_seconds");
         let _ticket = self.try_ticket()?;
         deadline.check()?;
         self.check_segment(segment)?;
         let gen = self.snapshot().ok_or(ServeError::NotReady)?;
-        let pressured = self.cfg.degrade_inflight > 0
-            && self.inflight.load(AtomicOrdering::Acquire) > self.cfg.degrade_inflight;
-        if pressured {
-            self.degraded.fetch_add(1, AtomicOrdering::Relaxed);
-            sarn_obs::counter("sarn_serve_degraded_total").inc();
-            sarn_obs::record(sarn_obs::Event::Degrade {
-                inflight: self.inflight.load(AtomicOrdering::Acquire),
-            });
-            let mut answer = self.approx_on(&gen, segment, k, deadline)?;
-            answer.degraded = true;
-            self.served.fetch_add(1, AtomicOrdering::Relaxed);
-            return Ok(answer);
-        }
-        // ANN-backed mode: when the generation's index is ready, answer
-        // from the HNSW graph (searching k+1 so the query row itself can
-        // be dropped). Any non-Ready state falls through to the exact
-        // scan below — the guardrail that makes the index purely an
-        // optimization. `IndexState::None` (below threshold / disabled)
-        // takes the scan silently, preserving bitwise-identical,
-        // event-identical behavior with the index off.
-        match gen.index_state() {
-            IndexState::Ready { .. } => {
-                if let Some(idx) = gen.ann_index() {
-                    let ef = self.cfg.ann_ef_search.max(k + 1);
-                    match idx.search_with_deadline(
-                        &mut |x| gen.similarity(segment, x),
-                        k + 1,
-                        ef,
-                        deadline.expires_at(),
-                    ) {
-                        Ok(mut hits) => {
-                            hits.retain(|&(i, _)| i != segment);
-                            hits.truncate(k);
-                            let answer = Knn {
-                                neighbors: hits,
-                                generation: gen.number(),
-                                degraded: false,
-                                ann: true,
-                            };
-                            self.served.fetch_add(1, AtomicOrdering::Relaxed);
-                            sarn_obs::counter("sarn_serve_knn_ann_total").inc();
-                            return Ok(answer);
-                        }
-                        Err(e) => {
-                            // Deadline expiry (or any index failure)
-                            // falls back to the exact scan, whose own
-                            // deadline probe then reports the typed
-                            // ServeError::DeadlineExceeded.
-                            self.note_ann_fallback(&gen, &e.to_string());
-                        }
-                    }
-                }
-            }
-            IndexState::Building => self.note_ann_fallback(&gen, "index building"),
-            IndexState::FellBack => self.note_ann_fallback(&gen, "index fell back at reload"),
-            IndexState::None => {}
-        }
-        let n = gen.embeddings().rows();
-        // One expiry derivation for the whole scan; each probe below is a
-        // single clock read (Deadline::check_against).
-        let expires_at = deadline.expires_at();
-        let mut scored = Vec::with_capacity(n.saturating_sub(1));
-        for i in 0..n {
-            if i % self.cfg.deadline_check_every == 0 {
-                deadline.check_against(expires_at)?;
-            }
-            if i != segment {
-                scored.push((i, gen.similarity(segment, i)));
-            }
-        }
-        let answer = Knn {
-            neighbors: top_k(scored, k),
-            generation: gen.number(),
-            degraded: false,
-            ann: false,
-        };
-        self.served.fetch_add(1, AtomicOrdering::Relaxed);
-        Ok(answer)
+        let query = gen.embeddings().row_slice(segment);
+        self.knn_on(
+            &gen,
+            query,
+            gen.row_norm(segment),
+            Some(segment),
+            k,
+            deadline,
+        )
     }
 
-    /// Counts and journals one ANN-to-exact fallback.
-    fn note_ann_fallback(&self, gen: &Generation, reason: &str) {
-        sarn_obs::counter("sarn_serve_ann_fallback_total").inc();
-        sarn_obs::record(sarn_obs::Event::AnnFallback {
-            generation: gen.number(),
-            reason: reason.to_string(),
-        });
-    }
-
-    /// Grid-bucketed approximate k-nearest neighbors: candidates come
-    /// from the segment's spatial neighborhood (expanding the Chebyshev
-    /// radius from [`ServeConfig::approx_radius`] until `k` candidates
-    /// exist or the grid is exhausted), then are ranked by cosine
-    /// similarity. Spatially local by construction — which is exactly the
-    /// regime SARN's grid negative sampling optimizes embeddings for.
-    pub fn knn_approx(
-        &self,
-        segment: usize,
-        k: usize,
-        deadline: Deadline,
-    ) -> Result<Knn, ServeError> {
-        let _latency = sarn_obs::span!("sarn_serve_knn_approx_seconds");
-        let _ticket = self.try_ticket()?;
-        deadline.check()?;
-        self.check_segment(segment)?;
-        let gen = self.snapshot().ok_or(ServeError::NotReady)?;
-        let answer = self.approx_on(&gen, segment, k, deadline)?;
-        self.served.fetch_add(1, AtomicOrdering::Relaxed);
-        Ok(answer)
-    }
-
-    fn approx_on(
-        &self,
-        gen: &Generation,
-        segment: usize,
-        k: usize,
-        deadline: Deadline,
-    ) -> Result<Knn, ServeError> {
-        let cell = self.segment_cell[segment];
-        let max_radius = self.grid.nx().max(self.grid.ny());
-        let mut radius = self.cfg.approx_radius;
-        let expires_at = deadline.expires_at();
-        // One ring buffer and one candidate list for the whole expansion
-        // loop: each retry clears and refills instead of reallocating.
-        let mut cells: Vec<sarn_geo::CellId> = Vec::new();
-        let mut candidates: Vec<usize> = Vec::new();
-        loop {
-            deadline.check_against(expires_at)?;
-            self.grid.neighborhood_into(cell, radius, &mut cells);
-            candidates.clear();
-            candidates.extend(
-                cells
-                    .iter()
-                    .flat_map(|&c| self.buckets[c].iter().copied())
-                    .filter(|&s| s != segment),
-            );
-            if candidates.len() >= k || radius >= max_radius {
-                break;
-            }
-            radius = radius.saturating_mul(2).max(radius + 1);
-        }
-        let mut scored = Vec::with_capacity(candidates.len());
-        for (j, &i) in candidates.iter().enumerate() {
-            if j % self.cfg.deadline_check_every == 0 {
-                deadline.check_against(expires_at)?;
-            }
-            scored.push((i, gen.similarity(segment, i)));
-        }
-        Ok(Knn {
-            neighbors: top_k(scored, k),
-            generation: gen.number(),
-            degraded: false,
-            ann: false,
-        })
-    }
-
-    // ---- fan-out legs (shard router) -------------------------------------
-
-    /// Exact scan of this store's rows against an external query vector —
-    /// the per-shard leg of a router fan-out. Row ids in the answer are
-    /// *this store's* local ids; the router maps them back to global
-    /// segment ids. `exclude` drops one local row (the query segment on
-    /// its owner shard). Scores are bitwise identical to what
-    /// [`EmbeddingStore::knn`] computes on a combined store holding the
-    /// same row bytes: same dot kernel, same operand order, same
-    /// precomputed norms ([`Generation::similarity_to_vector`]).
+    /// k-nearest neighbors of an external query vector among this store's
+    /// rows — the per-shard leg of a router fan-out. Row ids in the
+    /// answer are *this store's* local ids; the router maps them back to
+    /// global segment ids. `exclude` drops one local row (the query
+    /// segment on its owner shard).
+    ///
+    /// A leg is answered from the generation's HNSW index when it is
+    /// ready, else by the exact scan. The exact scores are bitwise
+    /// identical to what [`EmbeddingStore::knn`] computes on a combined
+    /// store holding the same row bytes: same dot kernel, same operand
+    /// order, same precomputed norms ([`Generation::similarity_to_vector`]).
     pub fn knn_vector(
         &self,
         query: &[f32],
@@ -993,118 +821,85 @@ impl EmbeddingStore {
         let _ticket = self.try_ticket()?;
         deadline.check()?;
         let gen = self.snapshot().ok_or(ServeError::NotReady)?;
-        // Same ANN-backed ladder as `knn`, scored against the external
-        // query vector; non-Ready states fall through to the scan.
+        self.knn_on(&gen, query, query_norm, exclude, k, deadline)
+    }
+
+    /// The one k-NN path of a store: an HNSW search when the index is
+    /// ready (asking for one extra hit so `exclude` can be dropped), else
+    /// — and on any index failure, a deadline expiry included — the exact
+    /// scan, whose own deadline probe then reports the typed
+    /// [`ServeError::DeadlineExceeded`]. `IndexState::None` (below
+    /// threshold / disabled) takes the scan silently, so serving with the
+    /// index off is bitwise and event identical to a store without it.
+    fn knn_on(
+        &self,
+        gen: &Generation,
+        query: &[f32],
+        query_norm: f32,
+        exclude: Option<usize>,
+        k: usize,
+        deadline: Deadline,
+    ) -> Result<Knn, ServeError> {
         match gen.index_state() {
             IndexState::Ready { .. } => {
                 if let Some(idx) = gen.ann_index() {
-                    match self
-                        .ann_vector_search(&gen, &idx, query, query_norm, exclude, k, deadline)
-                    {
-                        Ok(answer) => {
+                    let want = k + usize::from(exclude.is_some());
+                    let ef = self.cfg.ann_ef_search.max(want);
+                    match idx.search_with_deadline(
+                        &mut |x| gen.similarity_to_vector(query, query_norm, x),
+                        want,
+                        ef,
+                        deadline.expires_at(),
+                    ) {
+                        Ok(mut hits) => {
+                            if let Some(x) = exclude {
+                                hits.retain(|&(i, _)| i != x);
+                            }
+                            hits.truncate(k);
                             self.served.fetch_add(1, AtomicOrdering::Relaxed);
-                            sarn_obs::counter("sarn_serve_knn_ann_total").inc();
-                            return Ok(answer);
+                            sarn_obs::counter!("sarn_serve_knn_ann_total").inc();
+                            return Ok(Knn {
+                                neighbors: hits,
+                                generation: gen.number(),
+                                ann: true,
+                            });
                         }
-                        Err(e) => self.note_ann_fallback(&gen, &e.to_string()),
+                        Err(e) => self.note_ann_fallback(gen, &e.to_string()),
                     }
                 }
             }
-            IndexState::Building => self.note_ann_fallback(&gen, "index building"),
-            IndexState::FellBack => self.note_ann_fallback(&gen, "index fell back at reload"),
+            IndexState::Building => self.note_ann_fallback(gen, "index building"),
+            IndexState::FellBack => self.note_ann_fallback(gen, "index fell back at reload"),
             IndexState::None => {}
         }
         let n = gen.embeddings().rows();
+        // One expiry derivation for the whole scan; each probe below is a
+        // single clock read (Deadline::check_against).
         let expires_at = deadline.expires_at();
         let mut scored = Vec::with_capacity(n);
         for i in 0..n {
-            if i % self.cfg.deadline_check_every == 0 {
+            if i % DEADLINE_CHECK_EVERY == 0 {
                 deadline.check_against(expires_at)?;
             }
             if Some(i) != exclude {
                 scored.push((i, gen.similarity_to_vector(query, query_norm, i)));
             }
         }
-        let answer = Knn {
+        self.served.fetch_add(1, AtomicOrdering::Relaxed);
+        Ok(Knn {
             neighbors: top_k(scored, k),
             generation: gen.number(),
-            degraded: false,
             ann: false,
-        };
-        self.served.fetch_add(1, AtomicOrdering::Relaxed);
-        Ok(answer)
-    }
-
-    /// ANN-only fan-out leg: answers from the index or fails typed with
-    /// [`ServeError::IndexUnavailable`] — the router's mid-rung rescue
-    /// between a failed exact leg and the grid-approximate leg.
-    pub fn knn_vector_ann(
-        &self,
-        query: &[f32],
-        query_norm: f32,
-        exclude: Option<usize>,
-        k: usize,
-        deadline: Deadline,
-    ) -> Result<Knn, ServeError> {
-        let _latency = sarn_obs::span!("sarn_serve_knn_shard_seconds");
-        let _ticket = self.try_ticket()?;
-        deadline.check()?;
-        let gen = self.snapshot().ok_or(ServeError::NotReady)?;
-        let idx = gen.ann_index().ok_or(ServeError::IndexUnavailable {
-            state: gen.index_state(),
-        })?;
-        let answer = self.ann_vector_search(&gen, &idx, query, query_norm, exclude, k, deadline)?;
-        self.served.fetch_add(1, AtomicOrdering::Relaxed);
-        sarn_obs::counter("sarn_serve_knn_ann_total").inc();
-        Ok(answer)
-    }
-
-    /// One index search against an external query vector. A deadline
-    /// expiry inside the graph walk surfaces as the store's own typed
-    /// [`ServeError::DeadlineExceeded`].
-    #[allow(clippy::too_many_arguments)]
-    fn ann_vector_search(
-        &self,
-        gen: &Generation,
-        idx: &sarn_ann::HnswIndex,
-        query: &[f32],
-        query_norm: f32,
-        exclude: Option<usize>,
-        k: usize,
-        deadline: Deadline,
-    ) -> Result<Knn, ServeError> {
-        let want = k + usize::from(exclude.is_some());
-        let ef = self.cfg.ann_ef_search.max(want);
-        let hits = idx
-            .search_with_deadline(
-                &mut |x| gen.similarity_to_vector(query, query_norm, x),
-                want,
-                ef,
-                deadline.expires_at(),
-            )
-            .map_err(|e| match e {
-                sarn_ann::AnnError::DeadlineExpired => {
-                    deadline
-                        .check()
-                        .err()
-                        .unwrap_or(ServeError::DeadlineExceeded {
-                            elapsed: deadline.elapsed(),
-                            budget: deadline.budget().unwrap_or_default(),
-                        })
-                }
-                other => ServeError::Index(other),
-            })?;
-        let mut hits = hits;
-        if let Some(x) = exclude {
-            hits.retain(|&(i, _)| i != x);
-        }
-        hits.truncate(k);
-        Ok(Knn {
-            neighbors: hits,
-            generation: gen.number(),
-            degraded: false,
-            ann: true,
         })
+    }
+
+    /// Counts and journals one ANN-to-exact fallback.
+    fn note_ann_fallback(&self, gen: &Generation, reason: &str) {
+        sarn_obs::counter!("sarn_serve_ann_fallback_total").inc();
+        sarn_obs::record(sarn_obs::Event::AnnFallback {
+            generation: gen.number(),
+            reason: reason.to_string(),
+        });
     }
 
     /// Writes the current generation's ready index to `path` (the
@@ -1123,39 +918,6 @@ impl EmbeddingStore {
     pub fn index_state(&self) -> IndexState {
         self.snapshot()
             .map_or(IndexState::None, |g| g.index_state())
-    }
-
-    /// Scores an explicit list of this store's rows against an external
-    /// query vector — the approximate fan-out leg, where the router picks
-    /// candidate rows from its global spatial grid and each shard only
-    /// scores its own slice. Returns `(local row, score)` pairs plus the
-    /// generation they were scored against; `exclude` skips the query
-    /// segment's own row.
-    pub fn score_vector(
-        &self,
-        query: &[f32],
-        query_norm: f32,
-        rows: &[usize],
-        exclude: Option<usize>,
-        deadline: Deadline,
-    ) -> Result<(Vec<(usize, f32)>, u64), ServeError> {
-        let _ticket = self.try_ticket()?;
-        deadline.check()?;
-        let gen = self.snapshot().ok_or(ServeError::NotReady)?;
-        let expires_at = deadline.expires_at();
-        let mut scored = Vec::with_capacity(rows.len());
-        for (j, &i) in rows.iter().enumerate() {
-            if j % self.cfg.deadline_check_every == 0 {
-                deadline.check_against(expires_at)?;
-            }
-            if Some(i) == exclude {
-                continue;
-            }
-            self.check_segment(i)?;
-            scored.push((i, gen.similarity_to_vector(query, query_norm, i)));
-        }
-        self.served.fetch_add(1, AtomicOrdering::Relaxed);
-        Ok((scored, gen.number()))
     }
 
     // ---- health ----------------------------------------------------------
@@ -1191,7 +953,7 @@ impl EmbeddingStore {
         if let (Some(age), Some(g)) = (over_age, generation) {
             // Journal and count the breach once per generation.
             if !self.stale_flagged.swap(true, AtomicOrdering::AcqRel) {
-                sarn_obs::counter("sarn_serve_stale_total").inc();
+                sarn_obs::counter!("sarn_serve_stale_total").inc();
                 sarn_obs::record(sarn_obs::Event::ServeStale {
                     generation: g,
                     age_seconds: age.as_secs_f64(),
@@ -1207,7 +969,6 @@ impl EmbeddingStore {
             last_reload_error: log.last_error.clone(),
             inflight,
             shed_total: self.shed.load(AtomicOrdering::Relaxed),
-            degraded_total: self.degraded.load(AtomicOrdering::Relaxed),
             served_total: self.served.load(AtomicOrdering::Relaxed),
             uptime: self.started.elapsed(),
             generation_age,
@@ -1266,7 +1027,7 @@ fn spawn_index_build(gen: Arc<Generation>, cfg: sarn_ann::HnswConfig) {
         }
         let build_ms = t0.elapsed().as_millis() as u64;
         gen.install_index(Arc::new(index), build_ms);
-        sarn_obs::counter("sarn_serve_index_built_total").inc();
+        sarn_obs::counter!("sarn_serve_index_built_total").inc();
         sarn_obs::record(sarn_obs::Event::IndexBuilt {
             generation: gen.number(),
             rows: rows as u64,

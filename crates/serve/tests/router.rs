@@ -1,6 +1,6 @@
 //! Behavioral contract of the shard router: bitwise identity with the
-//! single store when healthy, typed coverage degradation under injected
-//! shard faults, quarantine and probed recovery, batched amortization,
+//! single store when healthy, typed partial coverage under injected
+//! shard faults, quarantine and probed recovery, typed unknown segments,
 //! and shard-aware health.
 
 use std::time::Duration;
@@ -70,7 +70,7 @@ fn router_with(cfg: RouterConfig) -> Router {
 }
 
 fn single_store() -> EmbeddingStore {
-    let s = EmbeddingStore::new(midpoints(), D, serve_cfg()).expect("valid store");
+    let s = EmbeddingStore::new(N, D, serve_cfg()).expect("valid store");
     s.admit(embeddings(1.0)).expect("admission");
     s
 }
@@ -100,28 +100,6 @@ fn healthy_fanout_is_bitwise_identical_to_the_single_store() {
 }
 
 #[test]
-fn healthy_approx_fanout_matches_the_single_store_bitwise() {
-    let router = router_with(router_cfg());
-    let single = single_store();
-    for segment in 0..N {
-        let ours = router
-            .knn_approx(segment, 5, Deadline::unbounded())
-            .expect("routed approx");
-        let theirs = single
-            .knn_approx(segment, 5, Deadline::unbounded())
-            .expect("approx");
-        assert_eq!(ours.neighbors.len(), theirs.neighbors.len());
-        for (a, b) in ours.neighbors.iter().zip(&theirs.neighbors) {
-            assert_eq!(
-                (a.0, a.1.to_bits()),
-                (b.0, b.1.to_bits()),
-                "segment {segment}"
-            );
-        }
-    }
-}
-
-#[test]
 fn transient_shard_fault_is_retried_away() {
     let router = router_with(router_cfg());
     // One failure, one retry (shard_retries = 1): the shard still answers.
@@ -139,33 +117,11 @@ fn transient_shard_fault_is_retried_away() {
 }
 
 #[test]
-fn exhausted_shard_degrades_to_approx_then_fails_when_sticky() {
+fn sticky_shard_fault_fails_the_shard_and_drops_its_rows() {
     let router = router_with(router_cfg());
     let victim = router.sharded().num_shards() - 1;
-    // Exactly enough failures to exhaust 1 + shard_retries attempts; the
-    // degraded approximate leg then finds the fault spent and succeeds.
-    router.inject_shard_fault(
-        victim,
-        Some(ShardFault {
-            fail_queries: 2,
-            ..ShardFault::default()
-        }),
-    );
-    // k = N forces the grid expansion to cover the whole network, so the
-    // victim's rows are among the rescue leg's candidates.
-    let out = router.knn(0, N, Deadline::unbounded()).expect("degraded");
-    let cov = &out.coverage;
-    assert_eq!(cov.answered, cov.total);
-    assert_eq!(cov.degraded, 1, "{cov:?}");
-    let line = cov.shards.iter().find(|s| s.shard == victim).expect("line");
-    assert_eq!(line.outcome, ShardOutcome::DegradedApprox);
-    assert!(line
-        .error
-        .as_deref()
-        .is_some_and(|e| e.contains("injected")));
-
-    // Sticky: every attempt (including the rescue leg) fails — the shard
-    // is dropped from the answer, the answer itself still succeeds.
+    // Sticky: every attempt, retries included, fails — the shard is
+    // dropped from the answer, the answer itself still succeeds.
     router.inject_shard_fault(
         victim,
         Some(ShardFault {
@@ -177,8 +133,13 @@ fn exhausted_shard_degrades_to_approx_then_fails_when_sticky() {
     let out = router.knn(0, N, Deadline::unbounded()).expect("partial");
     let cov = &out.coverage;
     assert_eq!(cov.answered, cov.total - 1, "{cov:?}");
+    assert!(!cov.complete());
     let line = cov.shards.iter().find(|s| s.shard == victim).expect("line");
     assert_eq!(line.outcome, ShardOutcome::Failed);
+    assert!(line
+        .error
+        .as_deref()
+        .is_some_and(|e| e.contains("injected")));
     // The missing shard's rows are exactly what distinguishes the partial
     // answer from the full one.
     let full_rows: std::collections::HashSet<usize> = router
@@ -188,6 +149,7 @@ fn exhausted_shard_degrades_to_approx_then_fails_when_sticky() {
         .copied()
         .collect();
     assert!(out.neighbors.iter().all(|(id, _)| !full_rows.contains(id)));
+    assert_eq!(out.neighbors.len(), N - 1 - full_rows.len());
     assert!(router.partial_total() >= 1);
 }
 
@@ -280,35 +242,22 @@ fn breaker_quarantines_after_threshold_and_probe_recovers() {
 }
 
 #[test]
-fn batch_matches_individual_queries_and_isolates_bad_ids() {
+fn out_of_range_segment_is_a_typed_unknown_segment() {
     let router = router_with(router_cfg());
-    let segments = [0usize, 3, N + 7, 11];
-    let batch = router
-        .knn_batch(&segments, 4, Deadline::unbounded())
-        .expect("batch admission");
-    assert_eq!(batch.len(), segments.len());
-    for (i, &segment) in segments.iter().enumerate() {
-        match (&batch[i], segment < N) {
-            (Ok(routed), true) => {
-                let solo = router.knn(segment, 4, Deadline::unbounded()).expect("solo");
-                let a: Vec<(usize, u32)> = routed
-                    .neighbors
-                    .iter()
-                    .map(|&(id, s)| (id, s.to_bits()))
-                    .collect();
-                let b: Vec<(usize, u32)> = solo
-                    .neighbors
-                    .iter()
-                    .map(|&(id, s)| (id, s.to_bits()))
-                    .collect();
-                assert_eq!(a, b, "batch[{i}]");
-            }
-            (Err(ServeError::UnknownSegment { segment: s, .. }), false) => {
-                assert_eq!(*s, segment);
-            }
-            (other, _) => panic!("batch[{i}] unexpected: {other:?}"),
-        }
+    match router.knn(N + 7, 4, Deadline::unbounded()) {
+        Err(ServeError::UnknownSegment {
+            segment,
+            num_segments,
+        }) => assert_eq!((segment, num_segments), (N + 7, N)),
+        other => panic!("expected UnknownSegment, got {other:?}"),
     }
+    // A bad id is the caller's fault, not a shard's: no breaker counts
+    // it, and the next good query answers with full coverage.
+    let shards = router.sharded().num_shards();
+    assert!((0..shards).all(|i| router.breaker_state(i) == BreakerState::Closed));
+    let out = router.knn(11, 4, Deadline::unbounded()).expect("good id");
+    assert!(out.coverage.complete(), "{:?}", out.coverage);
+    assert_eq!(router.partial_total(), 0);
 }
 
 #[test]

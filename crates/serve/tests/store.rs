@@ -1,27 +1,14 @@
 //! Behavioral contract of the embedding store: validated admission,
 //! stale-generation fallback on every reload failure mode, retry against
-//! transient injected faults, deadlines, load shedding, and degradation.
+//! transient injected faults, deadlines, and load shedding.
 
 use std::time::Duration;
 
-use sarn_geo::Point;
 use sarn_serve::{Deadline, EmbeddingStore, LoadFault, ServeConfig, ServeError, ServeState};
 use sarn_tensor::{IoError, Tensor};
 
 const N: usize = 30;
 const D: usize = 4;
-
-/// Midpoints on a small lattice around Chengdu, ~200 m apart.
-fn midpoints() -> Vec<Point> {
-    (0..N)
-        .map(|i| {
-            Point::new(
-                30.64 + (i / 6) as f64 * 0.002,
-                104.04 + (i % 6) as f64 * 0.002,
-            )
-        })
-        .collect()
-}
 
 /// Deterministic embeddings whose rows differ: row `i`, component `j`
 /// holds `scale * (i + 1) + j` — distinguishable per generation and per
@@ -45,7 +32,7 @@ fn fast_cfg() -> ServeConfig {
 }
 
 fn store(cfg: ServeConfig) -> EmbeddingStore {
-    EmbeddingStore::new(midpoints(), D, cfg).expect("valid store")
+    EmbeddingStore::new(N, D, cfg).expect("valid store")
 }
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -242,10 +229,9 @@ fn deadlines_are_typed_and_slow_io_can_be_simulated() {
 }
 
 #[test]
-fn overload_sheds_and_pressure_degrades_exact_knn() {
+fn overload_sheds_typed_and_recovers_once_tickets_drop() {
     let cfg = ServeConfig {
         max_inflight: 4,
-        degrade_inflight: 2,
         ..fast_cfg()
     };
     let s = store(cfg);
@@ -269,64 +255,11 @@ fn overload_sheds_and_pressure_degrades_exact_knn() {
     assert_eq!(s.health().shed_total, 1);
     drop(tickets);
 
-    // Between the degrade threshold and the ceiling, exact k-NN answers
-    // via the approximate path and says so.
-    let pressure: Vec<_> = (0..3)
-        .map(|i| {
-            s.try_ticket()
-                .unwrap_or_else(|e| panic!("pressure ticket {i}: {e}"))
-        })
-        .collect();
-    let degraded = s.knn(5, 3, Deadline::unbounded()).expect("degraded knn");
-    assert!(degraded.degraded);
-    let reference = s
-        .knn_approx(5, 3, Deadline::unbounded())
-        .expect("approx reference");
-    assert_eq!(degraded.neighbors, reference.neighbors);
-    drop(pressure);
-
-    // Unloaded, the same query is exact again.
-    let exact = s.knn(5, 3, Deadline::unbounded()).expect("exact knn");
-    assert!(!exact.degraded);
-    assert_eq!(s.health().degraded_total, 1);
+    // Below the ceiling, k-NN answers again.
+    let answer = s.knn(5, 3, Deadline::unbounded()).expect("knn at rest");
+    assert_eq!(answer.neighbors.len(), 3);
+    assert_eq!(s.health().state, ServeState::Serving { generation: 1 });
     assert!(s.health().inflight == 0, "tickets all released");
-}
-
-#[test]
-fn approx_equals_exact_when_the_neighborhood_covers_the_network() {
-    // With 10 km cells the whole lattice shares one cell, so the
-    // approximate candidate set is the full network and the two paths
-    // must agree exactly.
-    let cfg = ServeConfig {
-        grid_clen_m: 10_000.0,
-        ..fast_cfg()
-    };
-    let s = store(cfg);
-    s.admit(embeddings(1.0)).expect("admission");
-    for seg in [0, 7, N - 1] {
-        let exact = s.knn(seg, 6, Deadline::unbounded()).expect("exact");
-        let approx = s.knn_approx(seg, 6, Deadline::unbounded()).expect("approx");
-        assert_eq!(exact.neighbors, approx.neighbors, "segment {seg}");
-        assert_eq!(exact.generation, approx.generation);
-    }
-}
-
-#[test]
-fn approx_radius_expands_until_enough_candidates_exist() {
-    // 200 m cells over a ~1 km lattice: each cell holds few segments, so
-    // a k larger than the local bucket forces radius expansion — the
-    // answer must still produce k neighbors.
-    let cfg = ServeConfig {
-        grid_clen_m: 200.0,
-        approx_radius: 1,
-        ..fast_cfg()
-    };
-    let s = store(cfg);
-    s.admit(embeddings(1.0)).expect("admission");
-    let got = s
-        .knn_approx(0, N - 1, Deadline::unbounded())
-        .expect("expanding approx");
-    assert_eq!(got.neighbors.len(), N - 1);
 }
 
 #[test]

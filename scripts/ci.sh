@@ -76,8 +76,8 @@ step "scale smoke at SARN_NET_SCALE=2.0 (release, --ignored)"
 cargo test -q --release -p sarn-sys-tests --test scale_smoke -- --ignored
 
 # Kernel benchmark: A^s build time + peak RSS in both join modes, epoch
-# time in both reduction modes, and serve-side exact/approx k-NN
-# latency, written to the committed BENCH_7.json (SARN_REPORT_JSONL
+# time in both reduction modes, and serve-side exact k-NN latency,
+# written to the committed BENCH_7.json (SARN_REPORT_JSONL
 # appends, so start from a clean file). A second join-only invocation at
 # scale 2.0 records the O(n²) → near-linear crossover row.
 step "kernel benchmark (BENCH_7.json)"
@@ -106,7 +106,8 @@ SARN_NET_SCALE=0.22 SARN_EPOCHS=4 SARN_TRAJ_COUNT=30 \
 
 # Serving smoke: corrupt artifact swaps and injected I/O faults must fall
 # back to the last-known-good generation with typed errors; an overload
-# burst must shed and degrade; exits non-zero on any breach or panic.
+# burst must shed typed and k-NN must answer once it drains; exits
+# non-zero on any breach or panic.
 step "serve fault-injection smoke"
 SARN_NET_SCALE=0.22 SARN_EPOCHS=2 \
   cargo run -q --release -p sarn-bench --bin serve_smoke
@@ -134,11 +135,10 @@ step "online pipeline system tests (release)"
 cargo test -q --release -p sarn-sys-tests --test pipeline_online
 
 # Sharded-router chaos smoke: bitwise identity against the combined
-# store at 1 and 4 reader threads, a kill-K-of-N-shards storm under
+# store at 1 and 4 reader threads, and a kill-K-of-N-shards storm under
 # per-shard generation churn with a recovery-to-full-coverage assert,
-# and knn_batch equivalence, written to the committed BENCH_9.json (every
-# row carries the process peak-RSS high-water mark); exits non-zero on
-# any breach.
+# written to the committed BENCH_9.json (every row carries the process
+# peak-RSS high-water mark); exits non-zero on any breach.
 step "sharded router chaos smoke (BENCH_9.json)"
 rm -f BENCH_9.json
 SARN_NET_SCALE=0.22 SARN_REPORT_JSONL=BENCH_9.json \
@@ -173,8 +173,8 @@ SARN_LOADGEN_MIN_SPEEDUP=2 \
 test -s BENCH_10.json
 
 # Telemetry smoke: train twice (telemetry off/on — must be bitwise
-# identical), serve 100 queries per path, then require the exported
-# Prometheus/JSON/JSONL artifacts to parse with the key training and
+# identical), serve 100 lookups and 100 k-NN queries, then require the
+# exported Prometheus/JSON/JSONL artifacts to parse with the key training and
 # serving series non-empty; exits non-zero on any breach or panic.
 step "telemetry export smoke (obs_smoke)"
 OBS_DIR="$(mktemp_tracked)"

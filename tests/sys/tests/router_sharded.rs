@@ -1,9 +1,9 @@
 //! The sharded router's two system contracts, under real concurrency:
 //!
-//! 1. **Bitwise identity** — with every shard healthy, routed exact and
-//!    approximate k-NN answers are bit-for-bit those of one combined
-//!    [`EmbeddingStore`] over the same rows, at 1 and at 4 reader
-//!    threads.
+//! 1. **Bitwise identity** — with every shard healthy and below the ANN
+//!    threshold, routed k-NN answers are bit-for-bit those of one
+//!    combined [`EmbeddingStore`] over the same rows, at 1 and at 4
+//!    reader threads.
 //! 2. **Chaos** — kill K of N shards with sticky injected faults in the
 //!    middle of per-shard generation churn (admits that swap exactly one
 //!    shard, plus corrupt single-shard reloads). Reader threads must
@@ -85,7 +85,7 @@ fn identity_under_readers(n_readers: usize) {
     let sharded = sharded_store();
     sharded.admit(&distinguishable()).expect("sharded admit");
     let router = Router::new(sharded, router_cfg());
-    let single = EmbeddingStore::new(midpoints(), D, serve_cfg()).expect("valid store");
+    let single = EmbeddingStore::new(N, D, serve_cfg()).expect("valid store");
     single.admit(distinguishable()).expect("single admit");
 
     std::thread::scope(|s| {
@@ -109,23 +109,6 @@ fn identity_under_readers(n_readers: usize) {
                             );
                         }
                     }
-                    let ours = router
-                        .knn_approx(segment, 5, Deadline::unbounded())
-                        .expect("routed approx");
-                    let theirs = single
-                        .knn_approx(segment, 5, Deadline::unbounded())
-                        .expect("approx");
-                    let pairs_ours: Vec<_> = ours
-                        .neighbors
-                        .iter()
-                        .map(|&(i, s)| (i, s.to_bits()))
-                        .collect();
-                    let pairs_theirs: Vec<_> = theirs
-                        .neighbors
-                        .iter()
-                        .map(|&(i, s)| (i, s.to_bits()))
-                        .collect();
-                    assert_eq!(pairs_ours, pairs_theirs, "segment {segment}: approx bits");
                 }
             });
         }
@@ -435,12 +418,8 @@ fn corrupt_index_sidecar_falls_back_to_exact_scan_then_rebuilds() {
     sharded.save_shard_index(0, &sidecar).expect("save sidecar");
 
     // Exact ground truth: the same rows in a store that never indexes.
-    let shard_mids: Vec<Point> = sharded
-        .shard_rows(0)
-        .iter()
-        .map(|&g| midpoints()[g])
-        .collect();
-    let exact = EmbeddingStore::new(shard_mids, D, serve_cfg()).expect("exact store");
+    let exact =
+        EmbeddingStore::new(sharded.shard_rows(0).len(), D, serve_cfg()).expect("exact store");
     exact.admit(rows).expect("exact admit");
     let local_n = sharded.shard(0).store.num_segments();
     let assert_exact_serving = || {

@@ -13,31 +13,19 @@
 //! - a subsequent good reload atomically advances every reader to the
 //!   new generation (readers only ever observe whole, published
 //!   generations, monotonically non-decreasing);
-//! - an overload burst sheds with `Overloaded` and pressure above the
-//!   degrade threshold downgrades exact k-NN to the grid path;
+//! - an overload burst sheds with `Overloaded`, and k-NN answers again
+//!   once the burst drains;
 //! - no thread panics.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
-use sarn_geo::Point;
 use sarn_serve::{Deadline, EmbeddingStore, ServeConfig, ServeError, ServeState};
 use sarn_tensor::Tensor;
 
 const N: usize = 64;
 const D: usize = 8;
 const CHURN_ROUNDS: u64 = 12;
-
-fn midpoints() -> Vec<Point> {
-    (0..N)
-        .map(|i| {
-            Point::new(
-                30.64 + (i / 8) as f64 * 0.002,
-                104.04 + (i % 8) as f64 * 0.002,
-            )
-        })
-        .collect()
-}
 
 /// Row `i` is `[gen * (i + 1); D]`: constant within a row so torn reads
 /// are visible, distinct across rows and generations.
@@ -73,7 +61,7 @@ fn churn_under_readers(n_readers: usize) {
         reload_backoff: Duration::from_millis(1),
         ..ServeConfig::default()
     };
-    let store = EmbeddingStore::new(midpoints(), D, cfg).expect("valid store");
+    let store = EmbeddingStore::new(N, D, cfg).expect("valid store");
     let dir = std::env::temp_dir().join(format!(
         "sarn_sys_serve_{}r_{}",
         n_readers,
@@ -178,7 +166,7 @@ fn churn_under_readers(n_readers: usize) {
         .expect("final read");
     assert_eq!(decode_generation(0, &row), final_gen);
 
-    // Overload burst: saturation sheds, partial pressure degrades.
+    // Overload burst: saturation sheds; once drained, k-NN answers.
     let tickets: Vec<_> = (0..cfg.max_inflight)
         .map(|_| store.try_ticket().expect("filling admission budget"))
         .collect();
@@ -188,16 +176,8 @@ fn churn_under_readers(n_readers: usize) {
     }
     assert!(matches!(store.health().state, ServeState::Shedding { .. }));
     drop(tickets);
-    let pressure: Vec<_> = (0..cfg.degrade_inflight)
-        .map(|_| store.try_ticket().expect("partial pressure"))
-        .collect();
-    let knn = store
-        .knn(0, 5, Deadline::unbounded())
-        .expect("knn under pressure");
-    assert!(knn.degraded, "pressure above threshold must degrade k-NN");
-    drop(pressure);
     let knn = store.knn(0, 5, Deadline::unbounded()).expect("knn at rest");
-    assert!(!knn.degraded);
+    assert_eq!(knn.neighbors.len(), 5);
 
     std::fs::remove_dir_all(&dir).ok();
 }
