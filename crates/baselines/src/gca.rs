@@ -89,12 +89,14 @@ impl Gca {
             let mut epoch_loss = 0.0;
             let mut batches = 0;
             for batch in order.chunks(cfg.batch_size) {
+                // Negatives are every vertex of view 2, so that branch
+                // stays full-graph; the gradient branch computes only the
+                // batch's rows, over their receptive field.
                 let mut z2_full = backbone.embed_projected_detached(&v2);
                 normalize_rows(&mut z2_full);
                 backbone.store.zero_grads();
                 let g = Graph::new();
-                let h = backbone.encode(&g, &v1);
-                let hb = g.gather_rows(h, batch);
+                let hb = backbone.encode_rows(&g, &v1, batch);
                 let z = backbone.project(&g, hb);
                 let z = g.l2_normalize_rows(z);
                 let d_z = z2_full.cols();

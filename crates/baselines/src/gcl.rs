@@ -2,11 +2,9 @@
 //! feature-embedding + GAT + projection stack with **shared** parameters
 //! across both graph views (unlike SARN's momentum branch).
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sarn_core::{DiscretizedFeatures, FeatureEmbedding};
+use sarn_core::{Backbone, BackboneDims};
 use sarn_roadnet::RoadNetwork;
-use sarn_tensor::layers::{Activation, EdgeIndex, Ffn, GatEncoder};
+use sarn_tensor::layers::EdgeIndex;
 use sarn_tensor::{Graph, ParamStore, Tensor, Var};
 
 /// Backbone dimensions shared by the GCL baselines.
@@ -49,12 +47,10 @@ impl GclBackboneConfig {
     }
 }
 
-/// The shared-parameter GCL backbone.
+/// The shared-parameter GCL backbone: SARN's [`Backbone`] layers with one
+/// store.
 pub struct GclBackbone {
-    feats: DiscretizedFeatures,
-    femb: FeatureEmbedding,
-    encoder: GatEncoder,
-    proj: Ffn,
+    backbone: Backbone,
     /// Model parameters (single branch — both views share them).
     pub store: ParamStore,
 }
@@ -62,44 +58,31 @@ pub struct GclBackbone {
 impl GclBackbone {
     /// Builds the backbone for a network.
     pub fn new(net: &RoadNetwork, cfg: &GclBackboneConfig, seed: u64) -> Self {
-        let feats = DiscretizedFeatures::from_network(net);
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let femb = FeatureEmbedding::new(&mut store, &mut rng, "femb", &feats, cfg.d_per_feature);
-        let encoder = GatEncoder::new(
-            &mut store,
-            &mut rng,
-            "enc",
-            femb.d_f(),
-            cfg.d,
-            cfg.n_layers,
-            cfg.n_heads,
-        );
-        let proj = Ffn::new(
-            &mut store,
-            &mut rng,
-            "proj",
-            &[cfg.d, cfg.d, cfg.d_z],
-            Activation::Relu,
-        );
-        Self {
-            feats,
-            femb,
-            encoder,
-            proj,
-            store,
-        }
+        let dims = BackboneDims {
+            d_per_feature: cfg.d_per_feature,
+            d: cfg.d,
+            d_z: cfg.d_z,
+            n_layers: cfg.n_layers,
+            n_heads: cfg.n_heads,
+        };
+        let (backbone, store) = Backbone::new(net, dims, seed);
+        Self { backbone, store }
     }
 
     /// Records `H = F(X, view)` on a tape.
     pub fn encode(&self, g: &Graph, edges: &EdgeIndex) -> Var {
-        let x = self.femb.forward(g, &self.store, &self.feats);
-        self.encoder.forward(g, &self.store, x, edges)
+        self.backbone.encode(g, &self.store, edges)
+    }
+
+    /// Records `H = F(X, view)` for the segments `rows` only, over their
+    /// receptive field ([`Backbone::encode_rows`]).
+    pub fn encode_rows(&self, g: &Graph, edges: &EdgeIndex, rows: &[usize]) -> Var {
+        self.backbone.encode_rows(g, &self.store, edges, rows)
     }
 
     /// Records `Z = P(H)`.
     pub fn project(&self, g: &Graph, h: Var) -> Var {
-        self.proj.forward(g, &self.store, h)
+        self.backbone.project(g, &self.store, h)
     }
 
     /// Gradient-free full forward, returning `n x d`.
@@ -115,5 +98,12 @@ impl GclBackbone {
         let h = self.encode(&g, edges);
         let z = self.project(&g, h);
         g.value(z)
+    }
+
+    /// Gradient-free forward + projection of the segments `rows` only,
+    /// returning `rows.len() x d_z`.
+    pub fn embed_projected_rows_detached(&self, edges: &EdgeIndex, rows: &[usize]) -> Tensor {
+        self.backbone
+            .embed_projected_rows_detached(&self.store, edges, rows)
     }
 }

@@ -81,22 +81,23 @@ impl GraphCl {
                 // Second view detached: with shared parameters this is a
                 // stop-gradient on one side, the standard memory-saving
                 // variant; positives/negatives still come from view 2.
-                let mut z2_full = backbone.embed_projected_detached(&v2);
-                normalize_rows(&mut z2_full);
+                // Negatives are in-batch, so both branches compute only the
+                // batch's rows, over their receptive field.
+                let mut z2 = backbone.embed_projected_rows_detached(&v2, batch);
+                normalize_rows(&mut z2);
                 backbone.store.zero_grads();
                 let g = Graph::new();
-                let h = backbone.encode(&g, &v1);
-                let hb = g.gather_rows(h, batch);
+                let hb = backbone.encode_rows(&g, &v1, batch);
                 let z = backbone.project(&g, hb);
                 let z = g.l2_normalize_rows(z);
-                let d_z = z2_full.cols();
+                let d_z = z2.cols();
                 let cands: Vec<Tensor> = (0..batch.len())
                     .map(|a| {
                         let mut rows = Vec::with_capacity(batch.len() * d_z);
-                        rows.extend_from_slice(z2_full.row_slice(batch[a]));
-                        for (b, &j) in batch.iter().enumerate() {
+                        rows.extend_from_slice(z2.row_slice(a));
+                        for b in 0..batch.len() {
                             if b != a {
-                                rows.extend_from_slice(z2_full.row_slice(j));
+                                rows.extend_from_slice(z2.row_slice(b));
                             }
                         }
                         Tensor::from_vec(batch.len(), d_z, rows)

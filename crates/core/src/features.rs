@@ -82,11 +82,6 @@ impl DiscretizedFeatures {
     pub fn vocab(&self, f: usize) -> usize {
         self.vocab[f]
     }
-
-    /// Bin ids of one feature across all segments.
-    pub fn feature_column(&self, f: usize) -> Vec<usize> {
-        (0..self.n).map(|i| self.id(i, f)).collect()
-    }
 }
 
 /// The shared feature-embedding layer: one embedding table per feature,
@@ -132,10 +127,26 @@ impl FeatureEmbedding {
     /// Records the lookup of all segments on the tape: returns the
     /// `n x d_f` feature matrix `X`.
     pub fn forward(&self, g: &Graph, store: &ParamStore, feats: &DiscretizedFeatures) -> Var {
+        let all: Vec<usize> = (0..feats.len()).collect();
+        self.forward_rows(g, store, feats, &all)
+    }
+
+    /// Records the lookup of the segments `rows` only: row `k` of the
+    /// `rows.len() x d_f` result is segment `rows[k]`'s row of `X`. With
+    /// `rows` ascending, each table's gradient sums its rows' terms in the
+    /// same order as the all-segment lookup does.
+    pub fn forward_rows(
+        &self,
+        g: &Graph,
+        store: &ParamStore,
+        feats: &DiscretizedFeatures,
+        rows: &[usize],
+    ) -> Var {
         let parts: Vec<Var> = (0..NUM_FEATURES)
             .map(|f| {
                 let table = g.param(store, self.tables[f]);
-                g.gather_rows(table, &feats.feature_column(f))
+                let ids: Vec<usize> = rows.iter().map(|&i| feats.id(i, f)).collect();
+                g.gather_rows(table, &ids)
             })
             .collect();
         g.concat_cols(&parts)

@@ -39,7 +39,7 @@ pub use augment::{weighted_sample_without_replacement, AugmentConfig, Augmenter,
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointMeta, OptimState, QueueState};
 pub use config::{LossSimilarity, Readout, SarnConfig, SarnVariant};
 pub use features::{DiscretizedFeatures, FeatureEmbedding, NUM_FEATURES};
-pub use model::SarnModel;
+pub use model::{Backbone, BackboneDims, SarnModel};
 pub use queues::CellQueues;
 pub use sarn_par::ReductionOrder;
 pub use similarity::{
@@ -51,3 +51,13 @@ pub use watchdog::{
     embedding_defect, DivergenceReport, EmbeddingDefect, FaultKind, FaultSpec, HealthViolation,
     RecoveryEvent, TrainError, Watchdog, WatchdogConfig,
 };
+
+/// Serializes this crate's unit tests that run tensor math. The reduction
+/// order and the thread count are process globals: `try_train` sets them
+/// from its config, and the step-oracle test switches them, so no two such
+/// tests may interleave.
+#[cfg(test)]
+pub(crate) fn test_knobs() -> std::sync::MutexGuard<'static, ()> {
+    static KNOBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    KNOBS.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -11,7 +11,7 @@ use rand::{RngCore, SeedableRng};
 use sarn_roadnet::RoadNetwork;
 use sarn_tensor::layers::EdgeIndex;
 use sarn_tensor::optim::{Adam, CosineAnnealing, EarlyStopping};
-use sarn_tensor::{Graph, ParamStore, Tensor};
+use sarn_tensor::{Graph, ParamStore, Tensor, Var};
 
 use crate::augment::Augmenter;
 use crate::checkpoint::{
@@ -676,6 +676,12 @@ fn restore_state(
 /// the two-level (or plain) InfoNCE loss, update the query branch, momentum-
 /// update the other, and refresh the queues (Algorithm 1 lines 5–15).
 ///
+/// Both branches run over the batch's receptive field only: the momentum
+/// branch on view 2 (detached — gradients flow only into the query branch,
+/// per MoCo), the query branch on view 1. Each computes the batch's rows
+/// through the per-layer blocks of [`EdgeIndex::blocks`], which equal the
+/// full-graph pass's rows, and its parameter gradients, bit for bit.
+///
 /// With a watchdog present, the health probe runs after the backward pass
 /// and **before** the optimizer step — a sick gradient is caught within the
 /// batch that produced it and never touches the parameters — and queue
@@ -695,22 +701,42 @@ fn train_batch(
     epoch: usize,
     batch_idx: usize,
 ) -> Result<f32, HealthViolation> {
-    // Momentum branch on view 2, detached (gradients flow only into the
-    // query branch, per MoCo). Projections are L2-normalized so the
-    // dot-product similarity at tau = 0.05 operates on the unit sphere
-    // (the MoCo convention the paper builds on).
-    let mut z_prime_full = model.embed_projected_detached(&model.store_momentum, view2);
-    if cfg.loss_similarity == LossSimilarity::Cosine {
-        normalize_rows(&mut z_prime_full);
-    }
-    let z_prime: Vec<&[f32]> = batch.iter().map(|&i| z_prime_full.row_slice(i)).collect();
-
-    // Query branch on view 1.
-    model.store.zero_grads();
+    let z_prime = model.embed_projected_rows_detached(&model.store_momentum, view2, batch);
     let g = Graph::new();
-    let h = model.encode(&g, &model.store, view1);
-    let h_batch = g.gather_rows(h, batch);
-    let z = model.project(&g, &model.store, h_batch);
+    let h_batch = model.encode_rows(&g, &model.store, view1, batch);
+    update_batch(
+        model, cfg, &g, h_batch, z_prime, batch, opt, queues, watchdog, fault, epoch, batch_idx,
+    )
+}
+
+/// The rest of a step, once both branches have the batch's rows: `h_batch`
+/// is the query encoder's output on the tape `g`, `z_prime` the momentum
+/// projections (`batch.len() x d_z`), both in batch order.
+#[allow(clippy::too_many_arguments)]
+fn update_batch(
+    model: &mut SarnModel,
+    cfg: &SarnConfig,
+    g: &Graph,
+    h_batch: Var,
+    mut z_prime: Tensor,
+    batch: &[usize],
+    opt: &mut Adam,
+    queues: Option<&mut CellQueues>,
+    watchdog: Option<&mut Watchdog>,
+    fault: Option<FaultKind>,
+    epoch: usize,
+    batch_idx: usize,
+) -> Result<f32, HealthViolation> {
+    // Projections are L2-normalized so the dot-product similarity at
+    // tau = 0.05 operates on the unit sphere (the MoCo convention the paper
+    // builds on).
+    if cfg.loss_similarity == LossSimilarity::Cosine {
+        normalize_rows(&mut z_prime);
+    }
+    let z_prime: Vec<&[f32]> = (0..batch.len()).map(|k| z_prime.row_slice(k)).collect();
+
+    model.store.zero_grads();
+    let z = model.project(g, &model.store, h_batch);
     let z = if cfg.loss_similarity == LossSimilarity::Cosine {
         g.l2_normalize_rows(z)
     } else {
@@ -829,14 +855,190 @@ pub fn zero_grads_except(store: &mut ParamStore, keep: &[sarn_tensor::ParamId]) 
 mod tests {
     use super::*;
     use crate::config::SarnVariant;
+    use rand::seq::SliceRandom;
     use sarn_roadnet::{City, SynthConfig};
 
     fn tiny_net() -> RoadNetwork {
         SynthConfig::city(City::Chengdu).scaled(0.22).generate()
     }
 
+    /// The full-graph step the trainer ran before the block step, kept as
+    /// its oracle: both branches over every row of their view, then the
+    /// batch's rows gathered.
+    fn full_graph_batch(
+        model: &mut SarnModel,
+        cfg: &SarnConfig,
+        view1: &EdgeIndex,
+        view2: &EdgeIndex,
+        batch: &[usize],
+        opt: &mut Adam,
+        queues: Option<&mut CellQueues>,
+    ) -> Result<f32, HealthViolation> {
+        let z_prime = model
+            .embed_projected_detached(&model.store_momentum, view2)
+            .gather_rows(batch);
+        let g = Graph::new();
+        let h = model.encode(&g, &model.store, view1);
+        let h_batch = g.gather_rows(h, batch);
+        update_batch(
+            model, cfg, &g, h_batch, z_prime, batch, opt, queues, None, None, 0, 0,
+        )
+    }
+
+    /// One step path's training state.
+    struct StepState {
+        model: SarnModel,
+        opt: Adam,
+        queues: Option<CellQueues>,
+    }
+
+    impl StepState {
+        fn new(net: &RoadNetwork, cfg: &SarnConfig) -> Self {
+            Self {
+                model: SarnModel::new(net, cfg),
+                opt: Adam::new(cfg.lr).with_clip_norm(cfg.clip_norm),
+                queues: cfg.variant.uses_grid_negatives().then(|| {
+                    CellQueues::with_readout(net, cfg.clen_m, cfg.total_k, cfg.d_z, cfg.readout)
+                }),
+            }
+        }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Both stores' parameters, the Adam moments and the queue entries,
+    /// compared by `to_bits`.
+    fn assert_same_state(a: &StepState, b: &StepState, at: &str) {
+        for (branch, sa, sb) in [
+            ("query", &a.model.store, &b.model.store),
+            ("momentum", &a.model.store_momentum, &b.model.store_momentum),
+        ] {
+            for id in sa.ids() {
+                assert_eq!(
+                    bits(sa.value(id)),
+                    bits(sb.value(id)),
+                    "{at}: {branch} {}",
+                    sa.name(id)
+                );
+            }
+        }
+        assert_eq!(a.opt.step_count(), b.opt.step_count(), "{at}: Adam steps");
+        for (moments_a, moments_b) in [
+            (a.opt.first_moments(), b.opt.first_moments()),
+            (a.opt.second_moments(), b.opt.second_moments()),
+        ] {
+            assert_eq!(moments_a.len(), moments_b.len(), "{at}: Adam moments");
+            for (ma, mb) in moments_a.iter().zip(moments_b) {
+                assert_eq!(bits(ma), bits(mb), "{at}: Adam moments");
+            }
+        }
+        let entries = |s: &StepState| -> Vec<Vec<(usize, Vec<u32>)>> {
+            s.queues.as_ref().map_or_else(Vec::new, |q| {
+                q.export_entries()
+                    .into_iter()
+                    .map(|cell| {
+                        cell.into_iter()
+                            .map(|(seg, e)| (seg, e.iter().map(|v| v.to_bits()).collect()))
+                            .collect()
+                    })
+                    .collect()
+            })
+        };
+        assert_eq!(entries(a), entries(b), "{at}: queue entries");
+    }
+
+    /// Restores the default knobs even when an assertion fails.
+    struct ResetKnobs;
+    impl Drop for ResetKnobs {
+        fn drop(&mut self) {
+            sarn_par::set_reduction_order(sarn_par::ReductionOrder::Reference);
+            sarn_par::set_num_threads(1);
+        }
+    }
+
+    #[test]
+    fn block_step_equals_the_full_graph_step_bit_for_bit() {
+        use crate::config::LossSimilarity;
+        use sarn_par::ReductionOrder;
+        let _knobs = crate::test_knobs();
+        let _reset = ResetKnobs;
+        let net = tiny_net();
+        let n = net.num_segments();
+        for variant in [SarnVariant::Full, SarnVariant::WithoutMNL] {
+            for similarity in [LossSimilarity::Cosine, LossSimilarity::Dot] {
+                let mut cfg = SarnConfig::tiny().with_variant(variant);
+                cfg.loss_similarity = similarity;
+                cfg.n_layers = 3;
+                // Small batches keep the 3-hop field a strict subset of
+                // the rows, so the blocks really drop rows.
+                cfg.batch_size = 8;
+                let spatial = if variant.uses_spatial_matrix() {
+                    SpatialSimilarity::build(&net, &cfg.similarity)
+                        .edges()
+                        .to_vec()
+                } else {
+                    Vec::new()
+                };
+                let augmenter = Augmenter::new(n, net.topo_edges().to_vec(), spatial, cfg.augment);
+                let view1 = augmenter.corrupt_with_seed(11).edge_index();
+                let view2 = augmenter.corrupt_with_seed(12).edge_index();
+                let mut order: Vec<usize> = (0..n).collect();
+                order.shuffle(&mut StdRng::seed_from_u64(13));
+                let field = view1.blocks(&order[..cfg.batch_size], cfg.n_layers)[0]
+                    .src()
+                    .len();
+                assert!(field < n, "3-hop field {field} of {n} rows drops none");
+                for (reduction, threads) in [
+                    (ReductionOrder::Reference, 1),
+                    (ReductionOrder::Reference, 4),
+                    (ReductionOrder::Fast, 1),
+                    (ReductionOrder::Fast, 4),
+                ] {
+                    sarn_par::set_reduction_order(reduction);
+                    sarn_par::set_num_threads(threads);
+                    let mut block = StepState::new(&net, &cfg);
+                    let mut full = StepState::new(&net, &cfg);
+                    assert_same_state(&block, &full, "start");
+                    for (b, batch) in order.chunks(cfg.batch_size).enumerate() {
+                        let at =
+                            format!("{variant:?}/{similarity:?}/{reduction:?}/{threads} batch {b}");
+                        let block_loss = train_batch(
+                            &mut block.model,
+                            &cfg,
+                            &view1,
+                            &view2,
+                            batch,
+                            &mut block.opt,
+                            block.queues.as_mut(),
+                            None,
+                            None,
+                            0,
+                            b,
+                        )
+                        .unwrap();
+                        let full_loss = full_graph_batch(
+                            &mut full.model,
+                            &cfg,
+                            &view1,
+                            &view2,
+                            batch,
+                            &mut full.opt,
+                            full.queues.as_mut(),
+                        )
+                        .unwrap();
+                        assert_eq!(block_loss.to_bits(), full_loss.to_bits(), "{at}: loss");
+                        assert_same_state(&block, &full, &at);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn training_runs_and_produces_finite_history() {
+        let _knobs = crate::test_knobs();
         let net = tiny_net();
         let mut cfg = SarnConfig::tiny();
         cfg.max_epochs = 5;
@@ -850,6 +1052,7 @@ mod tests {
 
     #[test]
     fn in_batch_variant_loss_decreases() {
+        let _knobs = crate::test_knobs();
         // The full model's loss is non-stationary while the MoCo queues warm
         // up, so descent is asserted on the stationary in-batch objective.
         let net = tiny_net();
@@ -863,6 +1066,7 @@ mod tests {
 
     #[test]
     fn all_variants_train() {
+        let _knobs = crate::test_knobs();
         let net = tiny_net();
         for variant in [
             SarnVariant::Full,
@@ -882,6 +1086,7 @@ mod tests {
 
     #[test]
     fn positive_pairs_end_up_more_similar_than_random() {
+        let _knobs = crate::test_knobs();
         // After training, a segment's embedding should be closer (dot
         // product) to its spatial neighbors than to random far segments.
         let net = tiny_net();
@@ -919,6 +1124,7 @@ mod tests {
 
     #[test]
     fn refresh_embeddings_tracks_store_changes() {
+        let _knobs = crate::test_knobs();
         let net = tiny_net();
         let mut cfg = SarnConfig::tiny();
         cfg.max_epochs = 1;
@@ -939,6 +1145,7 @@ mod tests {
 
     #[test]
     fn dot_similarity_variant_trains_to_finite_embeddings() {
+        let _knobs = crate::test_knobs();
         let net = tiny_net();
         let mut cfg = SarnConfig::tiny();
         cfg.loss_similarity = crate::config::LossSimilarity::Dot;
@@ -949,6 +1156,7 @@ mod tests {
 
     #[test]
     fn max_readout_variant_trains_to_finite_embeddings() {
+        let _knobs = crate::test_knobs();
         let net = tiny_net();
         let mut cfg = SarnConfig::tiny();
         cfg.readout = crate::config::Readout::Max;
@@ -959,6 +1167,7 @@ mod tests {
 
     #[test]
     fn save_and_load_roundtrip_restores_embeddings() {
+        let _knobs = crate::test_knobs();
         let net = tiny_net();
         let mut cfg = SarnConfig::tiny();
         cfg.max_epochs = 2;
@@ -977,6 +1186,7 @@ mod tests {
 
     #[test]
     fn load_into_rejects_shape_mismatch_without_mutating() {
+        let _knobs = crate::test_knobs();
         let net = tiny_net();
         let mut cfg = SarnConfig::tiny();
         cfg.max_epochs = 1;
@@ -1012,6 +1222,7 @@ mod tests {
 
     #[test]
     fn warm_start_seeds_a_fresh_run_across_a_network_edit() {
+        let _knobs = crate::test_knobs();
         let net = tiny_net();
         let dir = std::env::temp_dir().join(format!(
             "sarn_warm_{}_{:p}",
@@ -1054,6 +1265,7 @@ mod tests {
 
     #[test]
     fn warm_start_rejects_incompatibility_with_typed_errors() {
+        let _knobs = crate::test_knobs();
         let net = tiny_net();
         let dir = std::env::temp_dir().join(format!(
             "sarn_warmbad_{}_{:p}",
@@ -1099,6 +1311,7 @@ mod tests {
 
     #[test]
     fn deadline_aborts_with_a_typed_error_not_partial_output() {
+        let _knobs = crate::test_knobs();
         let net = tiny_net();
         let mut cfg = SarnConfig::tiny();
         cfg.max_epochs = 3;
@@ -1122,6 +1335,7 @@ mod tests {
 
     #[test]
     fn zero_grads_except_keeps_only_requested() {
+        let _knobs = crate::test_knobs();
         let net = tiny_net();
         let cfg = SarnConfig::tiny();
         let mut model = SarnModel::new(&net, &cfg);

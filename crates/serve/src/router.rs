@@ -396,8 +396,13 @@ impl Router {
                     if let Some(t) = rt.breaker.record_probe(false) {
                         self.journal_transition(rt, t);
                     }
-                } else if let Some(t) = rt.breaker.record_failure() {
-                    self.journal_transition(rt, t);
+                } else if !matches!(e, ServeError::Overloaded { .. }) {
+                    // A shed is load, not a shard fault: it fails this leg
+                    // but neither counts toward quarantine nor resets the
+                    // streak of real failures.
+                    if let Some(t) = rt.breaker.record_failure() {
+                        self.journal_transition(rt, t);
+                    }
                 }
                 ShardResult::Failed(e)
             }

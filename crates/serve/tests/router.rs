@@ -242,6 +242,36 @@ fn breaker_quarantines_after_threshold_and_probe_recovers() {
 }
 
 #[test]
+fn shed_legs_fail_the_request_without_tripping_the_breaker() {
+    let cfg = router_cfg();
+    let threshold = cfg.breaker.failure_threshold;
+    let router = router_with(cfg);
+    let victim = router.sharded().num_shards() - 1;
+    let store = &router.sharded().shard(victim).store;
+    let tickets: Vec<_> = (0..router.sharded().config().max_inflight)
+        .map(|_| store.try_ticket().expect("below the ceiling"))
+        .collect();
+    // Every query sheds on the victim, well past the failure threshold.
+    // Each leg fails for its own request, but a shed is load, not a
+    // fault: the breaker stays closed, so no leg is ever quarantined.
+    for _ in 0..3 * threshold {
+        let out = router.knn(0, 5, Deadline::unbounded()).expect("partial");
+        assert!(!out.coverage.complete());
+        let line = out
+            .coverage
+            .shards
+            .iter()
+            .find(|s| s.shard == victim)
+            .expect("line");
+        assert_eq!(line.outcome, ShardOutcome::Failed);
+        assert_eq!(router.breaker_state(victim), BreakerState::Closed);
+    }
+    drop(tickets);
+    let out = router.knn(0, 5, Deadline::unbounded()).expect("recovered");
+    assert!(out.coverage.complete(), "{:?}", out.coverage);
+}
+
+#[test]
 fn out_of_range_segment_is_a_typed_unknown_segment() {
     let router = router_with(router_cfg());
     match router.knn(N + 7, 4, Deadline::unbounded()) {

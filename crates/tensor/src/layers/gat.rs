@@ -1,6 +1,12 @@
 //! Graph attention network (GAT) layers (Velickovic et al., ICLR 2018),
 //! implemented sparsely over an edge list so memory scales with the number
 //! of edges rather than `n^2`.
+//!
+//! Every layer runs over a [`Block`]: the rows it reads, the rows it
+//! writes, and the in-edges of the written rows. The full-graph pass is the
+//! block that holds every row ([`Block::full`]); a mini-batch runs the
+//! per-layer blocks [`EdgeIndex::blocks`] cuts for its rows, so each layer
+//! computes only the rows the next one reads.
 
 use std::rc::Rc;
 
@@ -54,6 +60,121 @@ impl EdgeIndex {
     /// Number of edges (including self-loops).
     pub fn num_edges(&self) -> usize {
         self.center.len()
+    }
+
+    /// The blocks an `n_layers`-layer encoder runs to compute `rows` (any
+    /// order, duplicates allowed), first layer first. The last block writes
+    /// `rows` sorted and deduplicated; every earlier block writes exactly
+    /// the rows the next block reads, so the first block reads the
+    /// `n_layers`-hop in-field of `rows`.
+    ///
+    /// Two orders make a block pass equal the full pass bit for bit on the
+    /// rows it computes, gradients included: each block's source rows stay
+    /// in ascending global order (weight gradients sum over rows in that
+    /// order), and its edges keep this index's order (the segment softmax
+    /// and sum run over each destination's in-edges in that order, and the
+    /// attention-vector gradient over all edges). Every term a block drops
+    /// belongs to a row nothing downstream reads, so it is an exact zero.
+    pub fn blocks(&self, rows: &[usize], n_layers: usize) -> Vec<Block> {
+        let mut dst = rows.to_vec();
+        dst.sort_unstable();
+        dst.dedup();
+        let mut dst = Rc::new(dst);
+        let mut blocks = Vec::with_capacity(n_layers);
+        for _ in 0..n_layers {
+            let block = self.block(dst);
+            dst = Rc::clone(&block.src);
+            blocks.push(block);
+        }
+        blocks.reverse();
+        blocks
+    }
+
+    /// Cuts the block that writes `dst` (ascending, unique) by one scan of
+    /// the edge list: it keeps every in-edge of a `dst` row, and reads the
+    /// `dst` rows plus the sources of the kept edges.
+    fn block(&self, dst: Rc<Vec<usize>>) -> Block {
+        const NONE: usize = usize::MAX;
+        let mut dst_pos = vec![NONE; self.n];
+        for (p, &i) in dst.iter().enumerate() {
+            dst_pos[i] = p;
+        }
+        let kept: Vec<usize> = (0..self.num_edges())
+            .filter(|&e| dst_pos[self.center[e]] != NONE)
+            .collect();
+        // Mark the source rows, then number them in ascending row order.
+        let mut src_pos = vec![NONE; self.n];
+        for &i in dst.iter() {
+            src_pos[i] = 0;
+        }
+        for &e in &kept {
+            src_pos[self.neighbor[e]] = 0;
+        }
+        let mut src = Vec::new();
+        for (i, p) in src_pos.iter_mut().enumerate() {
+            if *p != NONE {
+                *p = src.len();
+                src.push(i);
+            }
+        }
+        let local = |pos: &[usize], ends: &[usize]| -> Rc<Vec<usize>> {
+            Rc::new(kept.iter().map(|&e| pos[ends[e]]).collect())
+        };
+        Block {
+            center: local(&dst_pos, &self.center),
+            center_src: local(&src_pos, &self.center),
+            neighbor: local(&src_pos, &self.neighbor),
+            src: Rc::new(src),
+            dst,
+        }
+    }
+}
+
+/// One GAT layer's message-flow block (the mini-batch "blocks" of
+/// GraphSAGE and DGL, without neighbour sampling): the layer reads the
+/// input rows `src` and writes the output rows `dst`, over every in-edge of
+/// every `dst` row.
+///
+/// Both row lists hold global row ids in ascending order, and `dst` is a
+/// subset of `src`. The edges keep the order of the [`EdgeIndex`] they were
+/// cut from and are renumbered into the block's local rows. Only
+/// [`Block::full`] and [`EdgeIndex::blocks`] build one, so those conditions
+/// always hold.
+#[derive(Clone, Debug)]
+pub struct Block {
+    /// Global ids of the rows the layer reads, ascending.
+    src: Rc<Vec<usize>>,
+    /// Global ids of the rows the layer writes, ascending.
+    dst: Rc<Vec<usize>>,
+    /// Per edge: the destination's position in `dst` (its softmax segment).
+    center: Rc<Vec<usize>>,
+    /// Per edge: the destination's position in `src` (its own `W x_i`).
+    center_src: Rc<Vec<usize>>,
+    /// Per edge: the message source's position in `src`.
+    neighbor: Rc<Vec<usize>>,
+}
+
+impl Block {
+    /// Global ids of the rows the layer reads, ascending.
+    pub fn src(&self) -> &[usize] {
+        &self.src
+    }
+
+    /// Global ids of the rows the layer writes, ascending.
+    pub fn dst(&self) -> &[usize] {
+        &self.dst
+    }
+
+    /// The block that holds every row of `edges`: the full-graph pass.
+    pub fn full(edges: &EdgeIndex) -> Self {
+        let all = Rc::new((0..edges.n).collect::<Vec<_>>());
+        Self {
+            src: Rc::clone(&all),
+            dst: all,
+            center: Rc::clone(&edges.center),
+            center_src: Rc::clone(&edges.center),
+            neighbor: Rc::clone(&edges.neighbor),
+        }
     }
 }
 
@@ -117,11 +238,12 @@ impl GatLayer {
         self.heads.iter().flat_map(|h| [h.w, h.a]).collect()
     }
 
-    /// Records one attention layer on the tape: per head,
+    /// Records one attention layer over `block` on the tape: per head,
     /// `e_ij = LeakyReLU(a^T [W x_i || W x_j])`, softmax over each node's
-    /// in-neighborhood, then the attention-weighted message sum.
-    pub fn forward(&self, g: &Graph, store: &ParamStore, x: Var, edges: &EdgeIndex) -> Var {
-        self.forward_activated(g, store, x, edges, None)
+    /// in-neighborhood, then the attention-weighted message sum. `x` holds
+    /// the block's `src` rows; the result holds its `dst` rows.
+    pub fn forward(&self, g: &Graph, store: &ParamStore, x: Var, block: &Block) -> Var {
+        self.forward_activated(g, store, x, block, None)
     }
 
     /// [`GatLayer::forward`] with an optional ELU (parameter `elu_alpha`)
@@ -136,27 +258,31 @@ impl GatLayer {
         g: &Graph,
         store: &ParamStore,
         x: Var,
-        edges: &EdgeIndex,
+        block: &Block,
         elu_alpha: Option<f32>,
     ) -> Var {
-        let center_idx: &[usize] = &edges.center;
-        let neighbor_idx: &[usize] = &edges.neighbor;
+        assert_eq!(
+            g.shape(x).0,
+            block.src.len(),
+            "GAT input rows must be the block's source rows"
+        );
+        let nseg = block.dst.len();
         let mut outs = Vec::with_capacity(self.heads.len());
         for head in &self.heads {
             let w = g.param(store, head.w);
             let a = g.param(store, head.a);
             let wx = g.matmul(x, w);
-            let hc = g.gather_rows(wx, center_idx);
-            let hn = g.gather_rows(wx, neighbor_idx);
+            let hc = g.gather_rows(wx, &block.center_src);
+            let hn = g.gather_rows(wx, &block.neighbor);
             let cat = g.concat_cols(&[hc, hn]);
             let scores = g.matmul(cat, a);
             let scores = g.leaky_relu(scores, ATTN_LEAKY_SLOPE);
-            let alpha = g.segment_softmax(scores, Rc::clone(&edges.center), edges.n);
+            let alpha = g.segment_softmax(scores, Rc::clone(&block.center), nseg);
             let msg = match (self.concat, elu_alpha) {
                 (true, Some(al)) => {
-                    g.segment_weighted_sum_elu(alpha, hn, Rc::clone(&edges.center), edges.n, al)
+                    g.segment_weighted_sum_elu(alpha, hn, Rc::clone(&block.center), nseg, al)
                 }
-                _ => g.segment_weighted_sum(alpha, hn, Rc::clone(&edges.center), edges.n),
+                _ => g.segment_weighted_sum(alpha, hn, Rc::clone(&block.center), nseg),
             };
             outs.push(msg);
         }
@@ -261,14 +387,25 @@ impl GatEncoder {
             .param_ids()
     }
 
-    /// Records the full encoder on the tape. Hidden layers fuse their ELU
-    /// into the attention scatter (bit-identical to the separate
-    /// `elu(layer(..))` form — see [`GatLayer::forward_activated`]).
+    /// Records the full-graph encoder on the tape: every layer runs over
+    /// [`Block::full`].
     pub fn forward(&self, g: &Graph, store: &ParamStore, x: Var, edges: &EdgeIndex) -> Var {
+        let blocks = vec![Block::full(edges); self.layers.len()];
+        self.forward_blocks(g, store, x, &blocks)
+    }
+
+    /// Records the encoder over one block per layer, first layer first (as
+    /// [`EdgeIndex::blocks`] returns them): `x` holds the first block's
+    /// `src` rows, and the result the last block's `dst` rows. Hidden
+    /// layers fuse their ELU into the attention scatter (bit-identical to
+    /// the separate `elu(layer(..))` form — see
+    /// [`GatLayer::forward_activated`]).
+    pub fn forward_blocks(&self, g: &Graph, store: &ParamStore, x: Var, blocks: &[Block]) -> Var {
+        assert_eq!(blocks.len(), self.layers.len(), "one block per layer");
         let mut h = x;
-        for (l, layer) in self.layers.iter().enumerate() {
+        for (l, (layer, block)) in self.layers.iter().zip(blocks).enumerate() {
             let hidden = l + 1 < self.layers.len();
-            h = layer.forward_activated(g, store, h, edges, hidden.then_some(1.0));
+            h = layer.forward_activated(g, store, h, block, hidden.then_some(1.0));
         }
         h
     }
@@ -297,6 +434,109 @@ mod tests {
         assert_eq!(e.num_edges(), 6 + 4);
     }
 
+    /// Six rows, edges listed out of row order, then the six self-loops:
+    /// e0 2<-3, e1 1<-0, e2 2<-1, e3 4<-5, e4 3<-4, e5 0<-1, e6..e11 i<-i.
+    fn hand_graph() -> EdgeIndex {
+        EdgeIndex::with_self_loops(6, [(2, 3), (1, 0), (2, 1), (4, 5), (3, 4), (0, 1)])
+    }
+
+    /// A block's edges as global `(center, neighbor)` pairs.
+    fn global_edges(b: &Block) -> Vec<(usize, usize)> {
+        (0..b.center.len())
+            .map(|k| (b.dst[b.center[k]], b.src[b.neighbor[k]]))
+            .collect()
+    }
+
+    /// The invariants every cut must hold: sorted sources that contain the
+    /// destinations, the view's in-edges of exactly the destinations in the
+    /// view's order, and chained layers.
+    fn assert_well_formed(edges: &EdgeIndex, rows: &[usize], blocks: &[Block]) {
+        let mut want_last: Vec<usize> = rows.to_vec();
+        want_last.sort_unstable();
+        want_last.dedup();
+        assert_eq!(*blocks.last().unwrap().dst, want_last);
+        for (l, b) in blocks.iter().enumerate() {
+            assert!(b.src.windows(2).all(|w| w[0] < w[1]), "src not ascending");
+            assert!(b.dst.windows(2).all(|w| w[0] < w[1]), "dst not ascending");
+            assert!(b.dst.iter().all(|i| b.src.contains(i)), "dst not in src");
+            let view_order: Vec<(usize, usize)> = edges
+                .center
+                .iter()
+                .zip(edges.neighbor.iter())
+                .filter(|(c, _)| b.dst.contains(c))
+                .map(|(&c, &nb)| (c, nb))
+                .collect();
+            assert_eq!(global_edges(b), view_order, "layer {l} edges");
+            for k in 0..b.center.len() {
+                assert_eq!(b.src[b.center_src[k]], b.dst[b.center[k]]);
+            }
+            if l + 1 < blocks.len() {
+                assert_eq!(
+                    b.dst,
+                    blocks[l + 1].src,
+                    "layer {l} must write what {} reads",
+                    l + 1
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn blocks_of_a_hand_built_graph() {
+        let edges = hand_graph();
+        let blocks = edges.blocks(&[2], 2);
+        assert_eq!(blocks.len(), 2);
+        // Last layer: row 2 and its in-edges e0, e2, e8.
+        let last = &blocks[1];
+        assert_eq!(*last.dst, vec![2]);
+        assert_eq!(*last.src, vec![1, 2, 3]);
+        assert_eq!(*last.center, vec![0, 0, 0]);
+        assert_eq!(*last.center_src, vec![1, 1, 1]);
+        assert_eq!(*last.neighbor, vec![2, 0, 1]);
+        assert_eq!(global_edges(last), vec![(2, 3), (2, 1), (2, 2)]);
+        // First layer: rows 1..=3 and their in-edges e0, e1, e2, e4, e7,
+        // e8, e9, still in view order although they interleave.
+        let first = &blocks[0];
+        assert_eq!(*first.dst, vec![1, 2, 3]);
+        assert_eq!(*first.src, vec![0, 1, 2, 3, 4]);
+        assert_eq!(*first.center, vec![1, 0, 1, 2, 0, 1, 2]);
+        assert_eq!(*first.center_src, vec![2, 1, 2, 3, 1, 2, 3]);
+        assert_eq!(*first.neighbor, vec![3, 0, 1, 4, 1, 2, 3]);
+        assert_well_formed(&edges, &[2], &blocks);
+    }
+
+    #[test]
+    fn blocks_sort_and_dedup_the_requested_rows() {
+        let edges = hand_graph();
+        let rows = [5, 0, 5];
+        let blocks = edges.blocks(&rows, 3);
+        let last = &blocks[2];
+        assert_eq!(*last.dst, vec![0, 5]);
+        assert_eq!(*last.src, vec![0, 1, 5]);
+        assert_eq!(global_edges(last), vec![(0, 1), (0, 0), (5, 5)]);
+        assert_eq!(*last.center, vec![0, 0, 1]);
+        assert_eq!(*last.center_src, vec![0, 0, 2]);
+        assert_eq!(*last.neighbor, vec![1, 0, 2]);
+        assert_well_formed(&edges, &rows, &blocks);
+        for rows in [&[3][..], &[4, 1], &[0, 1, 2, 3, 4, 5]] {
+            assert_well_formed(&edges, rows, &edges.blocks(rows, 3));
+        }
+    }
+
+    #[test]
+    fn blocks_of_every_row_are_the_full_block() {
+        let edges = hand_graph();
+        let all: Vec<usize> = (0..edges.n).collect();
+        let full = Block::full(&edges);
+        for b in edges.blocks(&all, 3) {
+            assert_eq!(b.src, full.src);
+            assert_eq!(b.dst, full.dst);
+            assert_eq!(b.center, full.center);
+            assert_eq!(b.center_src, full.center_src);
+            assert_eq!(b.neighbor, full.neighbor);
+        }
+    }
+
     #[test]
     fn layer_output_shapes() {
         let mut store = ParamStore::new();
@@ -305,7 +545,7 @@ mod tests {
         assert_eq!(layer.d_out(), 12);
         let g = Graph::new();
         let x = g.input(Tensor::ones(5, 6));
-        let y = layer.forward(&g, &store, x, &line_graph(5));
+        let y = layer.forward(&g, &store, x, &Block::full(&line_graph(5)));
         assert_eq!(g.shape(y), (5, 12));
     }
 
@@ -333,7 +573,7 @@ mod tests {
         let layer = GatLayer::new(&mut store, &mut rng, "g", 3, 3, 1, true);
         let g = Graph::new();
         let x = g.input(Tensor::from_vec(4, 3, [[1.0f32, 2.0, 3.0]; 4].concat()));
-        let y = layer.forward(&g, &store, x, &line_graph(4));
+        let y = layer.forward(&g, &store, x, &Block::full(&line_graph(4)));
         let wx = Tensor::from_vec(1, 3, vec![1.0, 2.0, 3.0]).matmul(store.value(layer.heads[0].w));
         let out = g.value(y);
         for i in 0..4 {

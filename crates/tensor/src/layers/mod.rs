@@ -12,6 +12,6 @@ mod gru;
 mod linear;
 
 pub use ffn::{Activation, Ffn};
-pub use gat::{EdgeIndex, GatEncoder, GatLayer};
+pub use gat::{Block, EdgeIndex, GatEncoder, GatLayer};
 pub use gru::{Gru, GruStack};
 pub use linear::Linear;

@@ -4,7 +4,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sarn_tensor::layers::{Activation, EdgeIndex, Ffn, GatLayer, Gru, Linear};
+use sarn_tensor::layers::{Activation, Block, EdgeIndex, Ffn, GatLayer, Gru, Linear};
 use sarn_tensor::{init, Graph, ParamStore, Tensor};
 
 /// Checks every parameter of `store` against finite differences of
@@ -86,7 +86,10 @@ fn gat_layer_param_grads_match_finite_differences() {
     let mut rng = StdRng::seed_from_u64(3);
     let layer = GatLayer::new(&mut store, &mut rng, "g", 3, 3, 2, true);
     let x = init::normal(&mut rng, 5, 3, 1.0);
-    let edges = EdgeIndex::with_self_loops(5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 2)]);
+    let edges = Block::full(&EdgeIndex::with_self_loops(
+        5,
+        [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 2)],
+    ));
     let loss_of = move |s: &ParamStore| -> (f32, Option<ParamStore>) {
         let g = Graph::new();
         let xin = g.input(x.clone());

@@ -76,17 +76,19 @@ step "scale smoke at SARN_NET_SCALE=2.0 (release, --ignored)"
 cargo test -q --release -p sarn-sys-tests --test scale_smoke -- --ignored
 
 # Kernel benchmark: A^s build time + peak RSS in both join modes, epoch
-# time in both reduction modes, and serve-side exact k-NN latency,
-# written to the committed BENCH_7.json (SARN_REPORT_JSONL
-# appends, so start from a clean file). A second join-only invocation at
-# scale 2.0 records the O(n²) → near-linear crossover row.
-step "kernel benchmark (BENCH_7.json)"
-rm -f BENCH_7.json
-SARN_NET_SCALE=0.22 SARN_EPOCHS=3 SARN_REPORT_JSONL=BENCH_7.json \
+# time in both reduction modes, and serve-side exact k-NN latency. A
+# second join-only invocation at scale 2.0 records the O(n²) →
+# near-linear crossover row. The report goes to a temp dir, so CI never
+# rewrites a tracked file; the committed BENCH_7.json is regenerated by
+# `rm -f BENCH_7.json` and these two commands with
+# `SARN_REPORT_JSONL=BENCH_7.json` (SARN_REPORT_JSONL appends).
+step "kernel benchmark"
+BENCH_DIR="$(mktemp_tracked)"
+SARN_NET_SCALE=0.22 SARN_EPOCHS=3 SARN_REPORT_JSONL="$BENCH_DIR/bench.jsonl" \
   cargo run -q --release -p sarn-bench --bin kernel_bench
-SARN_NET_SCALE=2.0 SARN_KERNEL_BENCH_LEGS=join SARN_REPORT_JSONL=BENCH_7.json \
+SARN_NET_SCALE=2.0 SARN_KERNEL_BENCH_LEGS=join SARN_REPORT_JSONL="$BENCH_DIR/bench.jsonl" \
   cargo run -q --release -p sarn-bench --bin kernel_bench
-test -s BENCH_7.json
+test -s "$BENCH_DIR/bench.jsonl"
 
 # Checkpoint/resume smoke: train half a run with checkpointing on, resume
 # it from the directory, and require bitwise equality with a straight run
@@ -117,16 +119,18 @@ SARN_NET_SCALE=0.22 SARN_EPOCHS=2 \
 # retrain, mid-repair crash) must all land — generation monotone, serve
 # front never torn or stale, incremental A^s bitwise equal to a full
 # rebuild; exits non-zero on any breach. The same binary times the
-# localized A^s repair against a from-scratch grid join into the
-# committed BENCH_8.json (a second repair-only invocation at scale 2.0
-# records the row where the two strategies actually separate).
-step "online pipeline smoke (BENCH_8.json)"
-rm -f BENCH_8.json
-SARN_NET_SCALE=0.22 SARN_EPOCHS=2 SARN_REPORT_JSONL=BENCH_8.json \
+# localized A^s repair against a from-scratch grid join (a second
+# repair-only invocation at scale 2.0 records the row where the two
+# strategies actually separate). The report goes to a temp dir; the
+# committed BENCH_8.json is regenerated by `rm -f BENCH_8.json` and these
+# two commands with `SARN_REPORT_JSONL=BENCH_8.json`.
+step "online pipeline smoke"
+BENCH_DIR="$(mktemp_tracked)"
+SARN_NET_SCALE=0.22 SARN_EPOCHS=2 SARN_REPORT_JSONL="$BENCH_DIR/bench.jsonl" \
   cargo run -q --release -p sarn-bench --bin pipeline_smoke
-SARN_NET_SCALE=2.0 SARN_PIPELINE_SMOKE_LEGS=repair SARN_REPORT_JSONL=BENCH_8.json \
+SARN_NET_SCALE=2.0 SARN_PIPELINE_SMOKE_LEGS=repair SARN_REPORT_JSONL="$BENCH_DIR/bench.jsonl" \
   cargo run -q --release -p sarn-bench --bin pipeline_smoke
-test -s BENCH_8.json
+test -s "$BENCH_DIR/bench.jsonl"
 
 # Online-pipeline system suite in release: the faulted concurrent-reader
 # run, the kill/resume bitwise-convergence run, and the staleness-SLO
@@ -136,14 +140,16 @@ cargo test -q --release -p sarn-sys-tests --test pipeline_online
 
 # Sharded-router chaos smoke: bitwise identity against the combined
 # store at 1 and 4 reader threads, and a kill-K-of-N-shards storm under
-# per-shard generation churn with a recovery-to-full-coverage assert,
-# written to the committed BENCH_9.json (every row carries the process
-# peak-RSS high-water mark); exits non-zero on any breach.
-step "sharded router chaos smoke (BENCH_9.json)"
-rm -f BENCH_9.json
-SARN_NET_SCALE=0.22 SARN_REPORT_JSONL=BENCH_9.json \
+# per-shard generation churn with a recovery-to-full-coverage assert
+# (every row carries the process peak-RSS high-water mark); exits
+# non-zero on any breach. The report goes to a temp dir; the committed
+# BENCH_9.json is regenerated by `rm -f BENCH_9.json` and this command
+# with `SARN_REPORT_JSONL=BENCH_9.json`.
+step "sharded router chaos smoke"
+BENCH_DIR="$(mktemp_tracked)"
+SARN_NET_SCALE=0.22 SARN_REPORT_JSONL="$BENCH_DIR/bench.jsonl" \
   cargo run -q --release -p sarn-bench --bin router_chaos_smoke
-test -s BENCH_9.json
+test -s "$BENCH_DIR/bench.jsonl"
 
 # Sharded-router system suite in release: the identity runs at 1 and 4
 # reader threads plus the chaos kill/recover run race real per-shard
@@ -156,21 +162,22 @@ cargo test -q --release -p sarn-sys-tests --test router_sharded
 
 # ANN load-generator smoke: closed-loop k-NN against the sharded router
 # at reduced scale, linear-scan vs HNSW per-shard legs, recall@10 against
-# the exact scan, written to the committed BENCH_10.json (SARN_REPORT_JSONL
-# appends, so start clean). CI gates are deliberately looser than the
-# committed full-scale run (shared runners are noisy): recall >= 0.9 and
-# per-shard p99 speedup >= 2x at the largest smoke scale; the binary
-# exits non-zero on any breach. The committed BENCH_10.json is produced
-# by a full default-scale run (>= 5x p99, recall >= 0.95).
-step "ANN load-generator smoke (BENCH_10.json)"
-rm -f BENCH_10.json
-SARN_REPORT_JSONL=BENCH_10.json \
+# the exact scan. CI gates are deliberately looser than the committed
+# full-scale run (shared runners are noisy): recall >= 0.9 and per-shard
+# p99 speedup >= 2x at the largest smoke scale; the binary exits non-zero
+# on any breach. The report goes to a temp dir; the committed
+# BENCH_10.json is a full default-scale run (>= 5x p99, recall >= 0.95),
+# regenerated by `rm -f BENCH_10.json` and
+# `SARN_REPORT_JSONL=BENCH_10.json cargo run -q --release -p sarn-bench --bin load_gen`.
+step "ANN load-generator smoke"
+BENCH_DIR="$(mktemp_tracked)"
+SARN_REPORT_JSONL="$BENCH_DIR/bench.jsonl" \
 SARN_LOADGEN_SCALES=2000,12000,48000 SARN_LOADGEN_QUERIES=400 \
 SARN_LOADGEN_RECALL_QUERIES=48 SARN_LOADGEN_CONCURRENCY=2 \
 SARN_LOADGEN_DURATION_S=2 SARN_LOADGEN_MIN_RECALL=0.9 \
 SARN_LOADGEN_MIN_SPEEDUP=2 \
   cargo run -q --release -p sarn-bench --bin load_gen
-test -s BENCH_10.json
+test -s "$BENCH_DIR/bench.jsonl"
 
 # Telemetry smoke: train twice (telemetry off/on — must be bitwise
 # identical), serve 100 lookups and 100 k-NN queries, then require the
