@@ -109,6 +109,13 @@ enum Op {
         seg: Rc<Vec<usize>>,
         elu_alpha: f32,
     },
+    /// GAT attention logits: `out[e] = a^T [wx[center_src[e]] || hn[e]]`.
+    GatScores {
+        wx: usize,
+        hn: usize,
+        a: usize,
+        center_src: Rc<Vec<usize>>,
+    },
     /// Mean cross-entropy of row-logits against integer labels.
     CrossEntropy {
         logits: usize,
@@ -640,6 +647,49 @@ impl Graph {
         )
     }
 
+    /// GAT attention logits without materializing per-edge rows: row `e` of
+    /// the `E x 1` result is `a^T [wx[center_src[e]] || hn[e]]`, for `wx`
+    /// `n x d`, `hn` `E x d` (one row per edge) and `a` `2d x 1`.
+    ///
+    /// Values and gradients equal, bit for bit and in both reduction
+    /// orders, those of
+    /// `matmul(concat_cols([gather_rows(wx, center_src), hn]), a)`:
+    /// - Reference keeps that matmul's chain per edge (ascending terms,
+    ///   zero entries skipped, from `+0`). The chain's center half depends
+    ///   only on the center row, so it runs once per center and continues
+    ///   per edge over the neighbour half.
+    /// - Fast is the `m = 1` matmul's `dot_fast` over the two rows, read in
+    ///   place.
+    /// - The backward is the matmul's, then the concat's and the gather's:
+    ///   `d a` sums over the joined rows in edge order (Reference skips
+    ///   zero entries, as its `t_matmul` does), each edge's gradient term
+    ///   is `0 + g[e] · a[j]` (the `k = 1` `matmul_t` chain, which turns
+    ///   `−0` into `+0`), and `wx` receives the center half scattered by
+    ///   `center_src` in edge order.
+    pub fn gat_scores(&self, wx: Var, hn: Var, a: Var, center_src: Rc<Vec<usize>>) -> Var {
+        let v = {
+            let nodes = self.nodes.borrow();
+            gat_scores_value(
+                &nodes[wx.id].value,
+                &nodes[hn.id].value,
+                &nodes[a.id].value,
+                &center_src,
+            )
+        };
+        let needs = self.needs(wx.id) || self.needs(hn.id) || self.needs(a.id);
+        self.push(
+            v,
+            Op::GatScores {
+                wx: wx.id,
+                hn: hn.id,
+                a: a.id,
+                center_src,
+            },
+            needs,
+            None,
+        )
+    }
+
     /// Mean cross-entropy of logits against integer class labels.
     pub fn cross_entropy(&self, logits: Var, labels: &[usize]) -> Var {
         let v = {
@@ -792,8 +842,7 @@ fn segment_weighted_sum_backward(
     values: usize,
     seg: &[usize],
 ) {
-    let a = nodes[alpha].value.clone();
-    let v = nodes[values].value.clone();
+    let (a, v) = (&nodes[alpha].value, &nodes[values].value);
     let gate = par_gate(seg.len() >= PAR_MIN_EDGES);
     let mut da = vec![0.0f32; a.rows()];
     sarn_par::par_chunks_mut(&mut da, 1, gate, |offset, chunk| {
@@ -814,8 +863,10 @@ fn segment_weighted_sum_backward(
             }
         }
     });
-    accumulate(nodes, alpha, Tensor::from_vec(a.rows(), 1, da));
-    accumulate(nodes, values, Tensor::from_vec(v.rows(), v.cols(), dv));
+    let da = Tensor::from_vec(a.rows(), 1, da);
+    let dv = Tensor::from_vec(v.rows(), v.cols(), dv);
+    accumulate(nodes, alpha, da);
+    accumulate(nodes, values, dv);
 }
 
 fn accumulate(nodes: &mut [Node], id: usize, delta: Tensor) {
@@ -924,6 +975,128 @@ fn segment_softmax_value(scores: &Tensor, seg: &[usize], nseg: usize) -> Tensor 
     Tensor::from_vec(seg.len(), 1, out)
 }
 
+/// Forward of [`Graph::gat_scores`], over edge ranges.
+fn gat_scores_value(wx: &Tensor, hn: &Tensor, a: &Tensor, center_src: &[usize]) -> Tensor {
+    let d = wx.cols();
+    assert_eq!(hn.cols(), d, "gat_scores wx/hn width mismatch");
+    assert_eq!(
+        hn.rows(),
+        center_src.len(),
+        "gat_scores hn/edge count mismatch"
+    );
+    assert_eq!(a.shape(), (2 * d, 1), "gat_scores a must be 2d x 1");
+    let (a_c, a_n) = a.data().split_at(d);
+    let mut out = vec![0.0f32; center_src.len()];
+    let gate = par_gate(center_src.len() >= PAR_MIN_EDGES);
+    match sarn_par::reduction_order() {
+        sarn_par::ReductionOrder::Reference => {
+            let mut center_half = vec![0.0f32; wx.rows()];
+            let mut done = vec![false; wx.rows()];
+            for &c in center_src {
+                if !done[c] {
+                    center_half[c] = crate::kernels::chain_reference(0.0, wx.row_slice(c), a_c);
+                    done[c] = true;
+                }
+            }
+            sarn_par::par_chunks_mut(&mut out, 1, gate, |offset, chunk| {
+                for (i, o) in chunk.iter_mut().enumerate() {
+                    let e = offset + i;
+                    let acc = center_half[center_src[e]];
+                    *o = crate::kernels::chain_reference(acc, hn.row_slice(e), a_n);
+                }
+            });
+        }
+        sarn_par::ReductionOrder::Fast => {
+            sarn_par::par_chunks_mut(&mut out, 1, gate, |offset, chunk| {
+                for (i, o) in chunk.iter_mut().enumerate() {
+                    let e = offset + i;
+                    let (c, n) = (wx.row_slice(center_src[e]), hn.row_slice(e));
+                    *o = crate::kernels::dot_fast_concat(c, n, a.data());
+                }
+            });
+        }
+    }
+    Tensor::from_vec(center_src.len(), 1, out)
+}
+
+/// One edge's gradient term for a joined-row entry: `0 + g · a`, the
+/// `k = 1` chain of `matmul_t` in both reduction orders.
+#[inline]
+fn score_term(g: f32, a: f32) -> f32 {
+    0.0 + g * a
+}
+
+/// `out[j] += x[j] * s` for every `j`, skipping zero `x[j]` when
+/// `skip_zeros` (the Reference `t_matmul` skips zero lhs entries).
+#[inline]
+fn add_scaled(out: &mut [f32], x: &[f32], s: f32, skip_zeros: bool) {
+    for (o, &xv) in out.iter_mut().zip(x) {
+        if !(skip_zeros && xv == 0.0) {
+            *o += xv * s;
+        }
+    }
+}
+
+/// Backward of [`Graph::gat_scores`]: the gradients of `a`, `hn` and `wx`.
+/// `d a` is split by output entry and `d wx` by destination row; every
+/// owner scans all edges in ascending order.
+fn gat_scores_backward(
+    g: &Tensor,
+    wx: &Tensor,
+    hn: &Tensor,
+    a: &Tensor,
+    center_src: &[usize],
+) -> (Tensor, Tensor, Tensor) {
+    let (rows, d) = wx.shape();
+    let edges = center_src.len();
+    let (a_c, a_n) = a.data().split_at(d);
+    let skip_zeros = sarn_par::reduction_order() == sarn_par::ReductionOrder::Reference;
+    let mut da = vec![0.0f32; 2 * d];
+    let gate = par_gate(edges >= PAR_MIN_EDGES);
+    sarn_par::par_chunks_mut(&mut da, 1, gate, |offset, chunk| {
+        // Entries below `d` face the center row, the rest the neighbour row.
+        let split = d.saturating_sub(offset).min(chunk.len());
+        let (dc, dn) = chunk.split_at_mut(split);
+        let (c0, n0) = (offset.min(d), (offset + split).saturating_sub(d));
+        for (e, &c) in center_src.iter().enumerate() {
+            let ge = g.at(e, 0);
+            add_scaled(dc, &wx.row_slice(c)[c0..c0 + dc.len()], ge, skip_zeros);
+            add_scaled(dn, &hn.row_slice(e)[n0..n0 + dn.len()], ge, skip_zeros);
+        }
+    });
+    let cols = d.max(1);
+    let mut dhn = vec![0.0f32; edges * d];
+    sarn_par::par_chunks_mut(&mut dhn, cols, PAR_MIN_ELEMS, |offset, chunk| {
+        let e0 = offset / cols;
+        for (de, row) in chunk.chunks_mut(cols).enumerate() {
+            let ge = g.at(e0 + de, 0);
+            for (o, &av) in row.iter_mut().zip(a_n) {
+                *o = score_term(ge, av);
+            }
+        }
+    });
+    let mut dwx = vec![0.0f32; rows * d];
+    let gate = par_gate(edges * d >= PAR_MIN_ELEMS);
+    sarn_par::par_chunks_mut(&mut dwx, cols, gate, |offset, chunk| {
+        let (r0, r1) = (offset / cols, (offset + chunk.len()) / cols);
+        for (e, &c) in center_src.iter().enumerate() {
+            if c < r0 || c >= r1 {
+                continue;
+            }
+            let ge = g.at(e, 0);
+            let dst = &mut chunk[(c - r0) * cols..(c - r0 + 1) * cols];
+            for (o, &av) in dst.iter_mut().zip(a_c) {
+                *o += score_term(ge, av);
+            }
+        }
+    });
+    (
+        Tensor::from_vec(2 * d, 1, da),
+        Tensor::from_vec(edges, d, dhn),
+        Tensor::from_vec(rows, d, dwx),
+    )
+}
+
 #[allow(clippy::too_many_lines)]
 fn backward_step(nodes: &mut [Node], id: usize, g: &Tensor) {
     // Move the op out so we can mutably borrow the node list while matching.
@@ -967,8 +1140,7 @@ fn backward_step(nodes: &mut [Node], id: usize, g: &Tensor) {
             accumulate(nodes, *row, Tensor::from_vec(1, g.cols(), dr));
         }
         Op::MulCol(a, col) => {
-            let c = nodes[*col].value.clone();
-            let av = nodes[*a].value.clone();
+            let (c, av) = (&nodes[*col].value, &nodes[*a].value);
             let mut da = g.clone();
             let cols = da.cols().max(1);
             sarn_par::par_chunks_mut(da.data_mut(), cols, PAR_MIN_ELEMS, |offset, chunk| {
@@ -987,8 +1159,9 @@ fn backward_step(nodes: &mut [Node], id: usize, g: &Tensor) {
                     *o = Tensor::dot(g.row_slice(offset + i), av.row_slice(offset + i));
                 }
             });
+            let dc = Tensor::from_vec(c.rows(), 1, dc);
             accumulate(nodes, *a, da);
-            accumulate(nodes, *col, Tensor::from_vec(c.rows(), 1, dc));
+            accumulate(nodes, *col, dc);
         }
         Op::Scale(a, c) => accumulate(nodes, *a, g.map(|x| x * c)),
         Op::AddScalar(a) => accumulate(nodes, *a, g.clone()),
@@ -1052,8 +1225,7 @@ fn backward_step(nodes: &mut [Node], id: usize, g: &Tensor) {
         Op::OneMinus(a) => accumulate(nodes, *a, g.map(|x| -x)),
         Op::L2NormalizeRows(a) => {
             // y = x / n with n = ||x||: dx = (g - y (g . y)) / n
-            let x = nodes[*a].value.clone();
-            let y = nodes[id].value.clone();
+            let (x, y) = (&nodes[*a].value, &nodes[id].value);
             let cols = x.cols().max(1);
             let mut d = vec![0.0f32; x.len()];
             sarn_par::par_chunks_mut(&mut d, cols, PAR_MIN_ELEMS, |offset, chunk| {
@@ -1073,10 +1245,11 @@ fn backward_step(nodes: &mut [Node], id: usize, g: &Tensor) {
                     }
                 }
             });
-            accumulate(nodes, *a, Tensor::from_vec(x.rows(), x.cols(), d));
+            let d = Tensor::from_vec(x.rows(), x.cols(), d);
+            accumulate(nodes, *a, d);
         }
         Op::SoftmaxRows(a) => {
-            let s = nodes[id].value.clone();
+            let s = &nodes[id].value;
             let cols = s.cols().max(1);
             let mut d = vec![0.0f32; s.len()];
             sarn_par::par_chunks_mut(&mut d, cols, PAR_MIN_ELEMS, |offset, chunk| {
@@ -1091,7 +1264,8 @@ fn backward_step(nodes: &mut [Node], id: usize, g: &Tensor) {
                     }
                 }
             });
-            accumulate(nodes, *a, Tensor::from_vec(s.rows(), s.cols(), d));
+            let d = Tensor::from_vec(s.rows(), s.cols(), d);
+            accumulate(nodes, *a, d);
         }
         Op::SumAll(a) => {
             let (r, c) = nodes[*a].value.shape();
@@ -1172,7 +1346,7 @@ fn backward_step(nodes: &mut [Node], id: usize, g: &Tensor) {
             accumulate(nodes, *src, d);
         }
         Op::SegmentSoftmax { scores, seg, nseg } => {
-            let alpha = nodes[id].value.clone();
+            let alpha = &nodes[id].value;
             // Per-segment dot, partitioned by segment id (serial order per
             // segment), then an elementwise pass over edges.
             let seg: &[usize] = seg;
@@ -1194,7 +1368,8 @@ fn backward_step(nodes: &mut [Node], id: usize, g: &Tensor) {
                     *o = alpha.at(e, 0) * (g.at(e, 0) - seg_dot[seg[e]]);
                 }
             });
-            accumulate(nodes, *scores, Tensor::from_vec(alpha.rows(), 1, d));
+            let d = Tensor::from_vec(alpha.rows(), 1, d);
+            accumulate(nodes, *scores, d);
         }
         Op::SegmentWeightedSum { alpha, values, seg } => {
             segment_weighted_sum_backward(nodes, g, *alpha, *values, seg);
@@ -1221,6 +1396,23 @@ fn backward_step(nodes: &mut [Node], id: usize, g: &Tensor) {
             );
             segment_weighted_sum_backward(nodes, &ds, *alpha, *values, seg);
         }
+        Op::GatScores {
+            wx,
+            hn,
+            a,
+            center_src,
+        } => {
+            let (da, dhn, dwx) = gat_scores_backward(
+                g,
+                &nodes[*wx].value,
+                &nodes[*hn].value,
+                &nodes[*a].value,
+                center_src,
+            );
+            accumulate(nodes, *a, da);
+            accumulate(nodes, *hn, dhn);
+            accumulate(nodes, *wx, dwx);
+        }
         Op::CrossEntropy { logits, labels } => {
             let mut d = softmax_rows_value(&nodes[*logits].value);
             let n = labels.len().max(1) as f32;
@@ -1246,7 +1438,7 @@ fn backward_step(nodes: &mut [Node], id: usize, g: &Tensor) {
             accumulate(nodes, *pred, d);
         }
         Op::InfoNce { z, cands, tau } => {
-            let zt = nodes[*z].value.clone();
+            let zt = &nodes[*z].value;
             let b = cands.len().max(1) as f32;
             let scale = g.item() / (b * tau);
             let cands: &[Tensor] = cands;
@@ -1278,7 +1470,8 @@ fn backward_step(nodes: &mut [Node], id: usize, g: &Tensor) {
                     }
                 }
             });
-            accumulate(nodes, *z, Tensor::from_vec(zt.rows(), zt.cols(), d));
+            let d = Tensor::from_vec(zt.rows(), zt.cols(), d);
+            accumulate(nodes, *z, d);
         }
     }
     nodes[id].op = op;

@@ -2,10 +2,17 @@
 //! numerically distinct flavors selected by the process-wide
 //! [`sarn_par::ReductionOrder`] knob:
 //!
-//! - **Reference**: the original scalar loops, left-to-right accumulation.
-//!   Bit-identical to the pre-SIMD kernels at every thread count; every
-//!   bitwise-determinism suite (resume, parallel equivalence, telemetry
-//!   invisibility) runs against this path.
+//! - **Reference**: each output keeps its serial chain — left-to-right
+//!   accumulation from `+0`, zero lhs entries skipped in `matmul` and
+//!   `t_matmul` — exactly as the original scalar loops built it. The loop
+//!   nest around the chains may change: `Tensor::matmul_t` transposes its
+//!   rhs once so the inner loop runs across outputs and vectorizes, and the
+//!   fused GAT logits (`Graph::gat_scores`) compute each center's half of
+//!   the chain once and continue it per edge (`chain_reference`). No
+//!   chain is re-associated, so results are bit-identical to the pre-SIMD
+//!   kernels at every thread count; every bitwise-determinism suite
+//!   (resume, parallel equivalence, telemetry invisibility) runs against
+//!   this path.
 //! - **Fast**: blocked/tiled loops shaped so the compiler autovectorizes
 //!   them — [`LANES`]-wide multi-accumulator dot products and a packed-B
 //!   panel matmul with [`BLOCK_K`]-deep cache blocking. Sums are
@@ -88,6 +95,41 @@ fn reduce_lanes(acc: &[f32; LANES]) -> f32 {
         fold[l] = acc[l] + acc[l + LANES / 2];
     }
     (fold[0] + fold[2]) + (fold[1] + fold[3])
+}
+
+/// [`dot_fast`] of the joined row `lo || hi` with `b`, reading both halves
+/// in place: element `i` of the joined row feeds lane `i % LANES`, or the
+/// scalar tail past the last full lane chunk, so the result equals
+/// `dot_fast` over a copied row bit for bit.
+#[inline]
+pub(crate) fn dot_fast_concat(lo: &[f32], hi: &[f32], b: &[f32]) -> f32 {
+    let n = lo.len() + hi.len();
+    debug_assert_eq!(n, b.len());
+    let full = n - n % LANES;
+    let mut acc = [0.0f32; LANES];
+    let mut tail = 0.0f32;
+    for (i, (&x, &y)) in lo.iter().chain(hi).zip(b).enumerate() {
+        if i < full {
+            acc[i % LANES] += x * y;
+        } else {
+            tail += x * y;
+        }
+    }
+    reduce_lanes(&acc) + tail
+}
+
+/// Continues one output's Reference `matmul` chain: `acc`, then
+/// `+ x[k] * y[k]` for ascending `k`, skipping every term whose lhs entry
+/// `x[k]` is zero (`±0`), as the Reference `matmul` loop does.
+#[inline]
+pub(crate) fn chain_reference(mut acc: f32, x: &[f32], y: &[f32]) -> f32 {
+    debug_assert_eq!(x.len(), y.len());
+    for (&xv, &yv) in x.iter().zip(y) {
+        if xv != 0.0 {
+            acc += xv * yv;
+        }
+    }
+    acc
 }
 
 /// Dot product in the currently selected reduction order.
@@ -245,9 +287,7 @@ pub fn matmul_fast_blocked(
 }
 
 /// Fast `(n x k) * (m x k)^T`: every output element is a dot of two
-/// contiguous rows, computed with the [`dot_fast`] lane accumulators (the
-/// Reference loop here is a serial dependence chain — this is the kernel
-/// where re-association buys the most).
+/// contiguous rows, computed with the [`dot_fast`] lane accumulators.
 pub fn matmul_t_fast(a: &[f32], n: usize, k: usize, b: &[f32], m: usize) -> Vec<f32> {
     assert_eq!(a.len(), n * k, "matmul_t lhs shape mismatch");
     assert_eq!(b.len(), m * k, "matmul_t rhs shape mismatch");

@@ -7,6 +7,12 @@
 //! block that holds every row ([`Block::full`]); a mini-batch runs the
 //! per-layer blocks [`EdgeIndex::blocks`] cuts for its rows, so each layer
 //! computes only the rows the next one reads.
+//!
+//! Per head, the layer gathers `W x` once per edge for the neighbour rows
+//! the weighted sum reads. The attention logits come from one tape op,
+//! [`Graph::gat_scores`], which reads the center rows of `W x` in place and
+//! equals the gather–concat–matmul composition bit for bit, so no
+//! `E x 2d` concatenation is ever built.
 
 use std::rc::Rc;
 
@@ -272,10 +278,10 @@ impl GatLayer {
             let w = g.param(store, head.w);
             let a = g.param(store, head.a);
             let wx = g.matmul(x, w);
-            let hc = g.gather_rows(wx, &block.center_src);
+            // The weighted sum reads the neighbour rows, so they are
+            // gathered once; the logits read the center rows in place.
             let hn = g.gather_rows(wx, &block.neighbor);
-            let cat = g.concat_cols(&[hc, hn]);
-            let scores = g.matmul(cat, a);
+            let scores = g.gat_scores(wx, hn, a, Rc::clone(&block.center_src));
             let scores = g.leaky_relu(scores, ATTN_LEAKY_SLOPE);
             let alpha = g.segment_softmax(scores, Rc::clone(&block.center), nseg);
             let msg = match (self.concat, elu_alpha) {

@@ -8,7 +8,8 @@
 //! - [`Tensor`]: dense row-major `f32` matrices with the handful of BLAS-like
 //!   kernels the models need;
 //! - [`Graph`] / [`Var`]: a reverse-mode autograd tape with sparse
-//!   graph-attention primitives (`segment_softmax`, `segment_weighted_sum`),
+//!   graph-attention primitives (`gat_scores`, `segment_softmax`,
+//!   `segment_weighted_sum`),
 //!   embedding lookups, and fused losses (cross-entropy, MSE, InfoNCE);
 //! - [`ParamStore`]: out-of-tape parameter storage supporting the MoCo
 //!   momentum-encoder pattern ([`ParamStore::momentum_update_from`], Eq. 12);

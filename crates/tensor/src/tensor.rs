@@ -12,9 +12,10 @@
 //! so results are bit-identical at any thread count.
 //!
 //! The matmul-shaped ops additionally honor the process-wide
-//! [`sarn_par::ReductionOrder`] knob: `Reference` (default) keeps the
-//! scalar loops below, `Fast` dispatches to the autovectorizable blocked
-//! kernels in [`crate::kernels`]. See that module for the exact contract.
+//! [`sarn_par::ReductionOrder`] knob: `Reference` (default) runs the loops
+//! below, which keep each output's serial accumulation chain, and `Fast`
+//! dispatches to the autovectorizable blocked kernels in
+//! [`crate::kernels`]. See that module for the exact contract.
 
 use std::fmt;
 
@@ -166,9 +167,10 @@ impl Tensor {
     /// Matrix product `self * rhs`.
     ///
     /// In [`sarn_par::ReductionOrder::Reference`] mode (default) this is the
-    /// scalar `i-k-j` loop, streaming contiguous rows of both the
-    /// accumulator and `rhs`; in `Fast` mode it dispatches to the packed-B
-    /// panel kernel ([`crate::kernels::matmul_fast`]).
+    /// `i-k-j` loop, streaming contiguous rows of both the accumulator and
+    /// `rhs` and skipping zero entries of `self`; in `Fast` mode it
+    /// dispatches to the packed-B panel kernel
+    /// ([`crate::kernels::matmul_fast`]).
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, rhs.rows,
@@ -244,7 +246,13 @@ impl Tensor {
         Tensor::from_vec(n, m, out)
     }
 
-    /// `self * rhs^T` without materializing the transpose.
+    /// `self * rhs^T`.
+    ///
+    /// In Reference mode every output is the serial chain
+    /// `((0 + a_0 b_0) + a_1 b_1) + …` over ascending `k`, with no zero-skip.
+    /// The loop transposes `rhs` once and runs `i-k-j`, so the inner loop
+    /// advances every output of a row by one term and vectorizes while each
+    /// chain keeps its order.
     pub fn matmul_t(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, rhs.cols,
@@ -259,18 +267,17 @@ impl Tensor {
                 crate::kernels::matmul_t_fast(&self.data, n, k, &rhs.data, m),
             );
         }
+        let rhs_t = rhs.transpose();
         let mut out = vec![0.0f32; n * m];
         sarn_par::par_chunks_mut(&mut out, m.max(1), par_min_out(k), |offset, chunk| {
             let i0 = offset / m.max(1);
             for (di, orow) in chunk.chunks_mut(m).enumerate() {
                 let arow = &self.data[(i0 + di) * k..(i0 + di + 1) * k];
-                for (j, o) in orow.iter_mut().enumerate() {
-                    let brow = &rhs.data[j * k..(j + 1) * k];
-                    let mut acc = 0.0f32;
-                    for (&a, &b) in arow.iter().zip(brow.iter()) {
-                        acc += a * b;
+                for (kk, &a) in arow.iter().enumerate() {
+                    let brow = &rhs_t.data[kk * m..(kk + 1) * m];
+                    for (o, &b) in orow.iter_mut().zip(brow.iter()) {
+                        *o += a * b;
                     }
-                    *o = acc;
                 }
             }
         });

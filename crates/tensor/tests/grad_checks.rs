@@ -270,6 +270,34 @@ fn grad_segment_weighted_sum_alpha_and_values() {
 }
 
 #[test]
+fn grad_gat_scores_all_inputs() {
+    // Row 0 is a shared center; row 3 has only its self-loop.
+    let center = Rc::new(vec![0usize, 0, 1, 0, 2, 1, 3]);
+    let (wx, hn, a) = (rand_t(4, 3), rand_t(7, 3), rand_t(6, 1));
+    let scores = |g: &Graph, wx: Var, hn: Var, a: Var| {
+        g.mean_all(g.sqr(g.gat_scores(wx, hn, a, Rc::clone(&center))))
+    };
+    assert_grad_close(
+        &wx,
+        |g, x| scores(g, x, g.input(hn.clone()), g.input(a.clone())),
+        EPS,
+        TOL,
+    );
+    assert_grad_close(
+        &hn,
+        |g, x| scores(g, g.input(wx.clone()), x, g.input(a.clone())),
+        EPS,
+        TOL,
+    );
+    assert_grad_close(
+        &a,
+        |g, x| scores(g, g.input(wx.clone()), g.input(hn.clone()), x),
+        EPS,
+        TOL,
+    );
+}
+
+#[test]
 fn grad_cross_entropy() {
     assert_grad_close(
         &rand_t(4, 3),

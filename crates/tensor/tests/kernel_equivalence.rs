@@ -14,6 +14,9 @@
 //! above the `LANES` (8) and `PANEL_COLS` (16) boundaries, and the `m == 1`
 //! column-vector special case; every comparison runs at 1 and 4 worker
 //! threads.
+//!
+//! Reference `matmul_t` is also held bitwise to the serial chain
+//! `((0 + a_0 b_0) + a_1 b_1) + …` per output, over ±0, infinities and NaN.
 
 use std::rc::Rc;
 use std::sync::Mutex;
@@ -101,7 +104,52 @@ fn mat_pair(
     })
 }
 
+/// Values drawn to stress a chain: ±0, ±inf and NaN among ordinary ones.
+fn special_tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
+    let value = (0u8..24, -10.0f32..10.0).prop_map(|(k, x)| match k {
+        0..=3 => 0.0,
+        4 | 5 => -0.0,
+        6 => f32::INFINITY,
+        7 => f32::NEG_INFINITY,
+        8 => f32::NAN,
+        _ => x,
+    });
+    proptest::collection::vec(value, rows * cols).prop_map(move |v| Tensor::from_vec(rows, cols, v))
+}
+
+/// Bits with every NaN folded to one pattern (Rust leaves NaN payloads
+/// unspecified).
+fn bits(values: &[f32]) -> Vec<u32> {
+    values
+        .iter()
+        .map(|v| if v.is_nan() { f32::NAN } else { *v }.to_bits())
+        .collect()
+}
+
 proptest! {
+    #[test]
+    fn reference_matmul_t_keeps_each_serial_chain(
+        (a, b) in (1usize..5, 0usize..7, 1usize..6).prop_flat_map(|(n, ki, m)| {
+            let k = [1usize, 1, 2, 3, 8, 9, 17][ki];
+            (special_tensor(n, k), special_tensor(m, k))
+        }),
+    ) {
+        let mut want = Vec::new();
+        for i in 0..a.rows() {
+            for j in 0..b.rows() {
+                let mut acc = 0.0f32;
+                for kk in 0..a.cols() {
+                    acc += a.at(i, kk) * b.at(j, kk);
+                }
+                want.push(acc);
+            }
+        }
+        for &t in &THREADS {
+            let (r, _) = with_both_orders(t, || a.matmul_t(&b));
+            prop_assert_eq!(bits(r.data()), bits(&want));
+        }
+    }
+
     #[test]
     fn fast_matmul_stays_within_the_summation_bound(
         (k, a, b) in mat_pair(|(n, k, _)| (n, k), |(_, k, m)| (k, m)),

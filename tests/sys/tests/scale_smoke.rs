@@ -19,12 +19,11 @@ use sarn_core::{train, SarnConfig, SarnTrained, SpatialJoin};
 use sarn_roadnet::{City, RoadNetwork, SynthConfig};
 
 /// Peak-RSS ceiling for the scale-2.0 leg: both one-epoch runs (grid and
-/// all-pairs reference) must fit. The measured baseline is ~900 MB —
-/// dominated by the autograd tape of the full-graph GAT encoder, linear
-/// in segments × d × layers — so the budget's ~40% headroom still
-/// catches any accidentally materialized n×n intermediate (~315 MB as
-/// f32, ~630 MB as f64 at ~9k segments) without flaking on tape growth.
-const SCALE2_PEAK_RSS_BUDGET_BYTES: u64 = 1280 << 20;
+/// all-pairs reference) must fit. The measured peak is ~249 MB at 8,867
+/// segments (release build), linear in segments and edges. The budget
+/// leaves ~54% headroom over that, yet one accidentally materialized n×n
+/// intermediate (~315 MB as f32 at ~9k segments) would exceed it.
+const SCALE2_PEAK_RSS_BUDGET_BYTES: u64 = 384 << 20;
 
 fn run(net: &RoadNetwork, join: SpatialJoin, epochs: usize) -> SarnTrained {
     let mut cfg = SarnConfig::small();
