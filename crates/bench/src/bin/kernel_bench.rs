@@ -1,20 +1,16 @@
 //! Kernel and spatial-join benchmark (ROADMAP items 6 and 7).
 //!
-//! Measures what the execution-strategy knobs actually buy, at the
-//! current `SARN_*` scale:
+//! Measures, at the current `SARN_*` scale:
 //!
 //! 1. **`A^s` build time** — the spatial self-join per `SARN_SPATIAL_JOIN`
 //!    mode (`grid` bucketed vs `reference` all-pairs): segments, edges,
 //!    wall-clock, and the process peak-RSS high-water mark after each
 //!    build. The grid join runs first so its RSS bound is read before the
 //!    `O(n^2)` oracle can raise the water mark.
-//! 2. **Training epoch time** — one full `train` run per reduction mode;
-//!    the table reports total wall-clock and seconds per epoch for
-//!    `reference` (bit-exact scalar kernels) vs `fast` (blocked /
-//!    lane-accumulator kernels).
-//! 3. **Serve k-NN latency** — exact k-NN p50/p99 against the same
-//!    published artifact, per mode; the cosine scorer dispatches on the
-//!    knob at query time.
+//! 2. **Training epoch time** — one full `train` run: total wall-clock
+//!    and seconds per epoch.
+//! 3. **Serve k-NN latency** — exact k-NN p50/p99 against the artifact
+//!    that run published.
 //!
 //! `SARN_KERNEL_BENCH_LEGS` (comma list of `join`, `train`, `knn`;
 //! default all) restricts the run — CI uses `join` alone for the
@@ -23,12 +19,12 @@
 //!
 //! Emits machine-readable rows through the bench report machinery: run
 //! with `SARN_REPORT_JSONL=BENCH_7.json` to produce the committed CI
-//! artifact. The process-global knob is restored to `reference` on exit.
+//! artifact.
 
 use std::time::{Duration, Instant};
 
 use sarn_bench::{ExperimentScale, Table};
-use sarn_core::{train, ReductionOrder, SpatialJoin, SpatialSimilarity};
+use sarn_core::{train, SpatialJoin, SpatialSimilarity};
 use sarn_roadnet::City;
 use sarn_serve::{Deadline, EmbeddingStore, ServeConfig};
 
@@ -74,7 +70,6 @@ fn peak_rss_mb() -> String {
 fn main() {
     let scale = ExperimentScale::from_env();
     let net = scale.network(City::Chengdu);
-    let modes = [ReductionOrder::Reference, ReductionOrder::Fast];
 
     // Leg 0: the A^s spatial self-join, grid first so its peak-RSS row is
     // read before the all-pairs oracle can raise the high-water mark.
@@ -104,37 +99,31 @@ fn main() {
         join_table.print();
     }
 
-    // Leg 1: full training run per mode.
+    // Leg 1: one full training run.
     let mut artifact = None;
     if leg_enabled("train") {
         let mut epoch_table = Table::new(
             "kernel_epoch",
-            &["mode", "threads", "epochs", "total_s", "s_per_epoch"],
+            &["threads", "epochs", "total_s", "s_per_epoch"],
         );
-        for mode in modes {
-            let mut cfg = scale.sarn_config_for(&net, 1).with_reduction_order(mode);
-            cfg.patience = u32::MAX; // time every epoch, no early stop
-            eprintln!(
-                "[kernel_bench] training {} segments, {} epochs, mode={}",
-                net.num_segments(),
-                cfg.max_epochs,
-                mode.label()
-            );
-            let t0 = Instant::now();
-            let trained = train(&net, &cfg);
-            let total = t0.elapsed().as_secs_f64();
-            let epochs = trained.epochs_run.max(1);
-            epoch_table.row(vec![
-                mode.label().to_string(),
-                cfg.num_threads.to_string(),
-                epochs.to_string(),
-                format!("{total:.3}"),
-                format!("{:.4}", total / epochs as f64),
-            ]);
-            if mode == ReductionOrder::Reference {
-                artifact = Some(trained.embeddings);
-            }
-        }
+        let mut cfg = scale.sarn_config_for(&net, 1);
+        cfg.patience = u32::MAX; // time every epoch, no early stop
+        eprintln!(
+            "[kernel_bench] training {} segments, {} epochs",
+            net.num_segments(),
+            cfg.max_epochs
+        );
+        let t0 = Instant::now();
+        let trained = train(&net, &cfg);
+        let total = t0.elapsed().as_secs_f64();
+        let epochs = trained.epochs_run.max(1);
+        epoch_table.row(vec![
+            cfg.num_threads.to_string(),
+            epochs.to_string(),
+            format!("{total:.3}"),
+            format!("{:.4}", total / epochs as f64),
+        ]);
+        artifact = Some(trained.embeddings);
         epoch_table.print();
     }
 
@@ -142,8 +131,8 @@ fn main() {
         return;
     }
 
-    // Leg 2: serve k-NN latency per mode, against one published artifact
-    // (trained here if the train leg was skipped).
+    // Leg 2: serve k-NN latency against one published artifact (trained
+    // here if the train leg was skipped).
     let embeddings =
         artifact.unwrap_or_else(|| train(&net, &scale.sarn_config_for(&net, 1)).embeddings);
     let dir = std::env::temp_dir().join(format!("sarn_kernel_bench_{}", std::process::id()));
@@ -156,21 +145,13 @@ fn main() {
     store.reload(&path).expect("publishing the artifact");
     let n = net.num_segments();
 
-    let mut knn_table = Table::new("kernel_knn", &["mode", "exact_p50_us", "exact_p99_us"]);
-    for mode in modes {
-        sarn_par::set_reduction_order(mode);
-        let (exact_p50, exact_p99) = time_knn(|i| {
-            store
-                .knn(i % n, KNN_K, Deadline::unbounded())
-                .expect("exact knn");
-        });
-        knn_table.row(vec![
-            mode.label().to_string(),
-            format!("{exact_p50:.1}"),
-            format!("{exact_p99:.1}"),
-        ]);
-    }
-    sarn_par::set_reduction_order(ReductionOrder::Reference);
+    let mut knn_table = Table::new("kernel_knn", &["exact_p50_us", "exact_p99_us"]);
+    let (exact_p50, exact_p99) = time_knn(|i| {
+        store
+            .knn(i % n, KNN_K, Deadline::unbounded())
+            .expect("exact knn");
+    });
+    knn_table.row(vec![format!("{exact_p50:.1}"), format!("{exact_p99:.1}")]);
     knn_table.print();
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -25,9 +25,6 @@ pub struct ExperimentScale {
     /// Worker threads for the parallel compute backend (`SARN_NUM_THREADS`;
     /// `0` = automatic, `1` = serial).
     pub num_threads: usize,
-    /// Kernel reduction order (`SARN_REDUCTION_ORDER`: `reference` |
-    /// `fast`; default `reference` — the bit-exact scalar path).
-    pub reduction_order: sarn_par::ReductionOrder,
     /// `A^s` spatial-join strategy (`SARN_SPATIAL_JOIN`: `grid` |
     /// `reference`; default `grid` — both build the identical edge list,
     /// the reference all-pairs scan is the O(n^2) equivalence oracle).
@@ -84,7 +81,6 @@ impl ExperimentScale {
             traj_count: get("SARN_TRAJ_COUNT", 140.0) as usize,
             max_traj_segments: get("SARN_MAX_TRAJ_SEGMENTS", 30.0) as usize,
             num_threads: get("SARN_NUM_THREADS", 1.0) as usize,
-            reduction_order: sarn_par::ReductionOrder::from_env(),
             spatial_join: sarn_core::SpatialJoin::from_env(),
             ckpt_dir: std::env::var("SARN_CKPT_DIR")
                 .ok()
@@ -146,7 +142,6 @@ impl ExperimentScale {
         cfg.patience = (self.epochs as u32 / 3).max(3);
         cfg.seed = seed;
         cfg.num_threads = self.num_threads;
-        cfg.reduction_order = self.reduction_order;
         cfg.similarity.join = self.spatial_join;
         if let Some(dir) = &self.ckpt_dir {
             cfg = cfg.with_checkpointing(dir, self.ckpt_every);
@@ -196,7 +191,6 @@ mod tests {
             traj_count: 20,
             max_traj_segments: 15,
             num_threads: 1,
-            reduction_order: Default::default(),
             spatial_join: Default::default(),
             ckpt_dir: None,
             ckpt_every: 5,
@@ -230,7 +224,6 @@ mod tests {
             traj_count: 20,
             max_traj_segments: 15,
             num_threads: 1,
-            reduction_order: Default::default(),
             spatial_join: Default::default(),
             ckpt_dir: Some("/tmp/sarn-ckpts".into()),
             ckpt_every: 4,

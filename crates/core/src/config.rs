@@ -112,14 +112,11 @@ pub struct SarnConfig {
     /// `n` = exactly `n`. Results are identical at every setting — the
     /// backend only splits work, never reorders accumulation.
     pub num_threads: usize,
-    /// Floating-point reduction order of the tensor kernels
-    /// ([`sarn_par::ReductionOrder`]): `Reference` (default) is the scalar
-    /// bit-exact path every determinism suite runs against; `Fast` enables
-    /// the SIMD-friendly blocked kernels, which re-associate sums — still
-    /// deterministic for a fixed mode, but not bitwise comparable across
-    /// modes. An execution-strategy knob like `num_threads`, so it is *not*
-    /// part of the checkpoint fingerprint; the bitwise resume guarantee
-    /// holds within a fixed mode only.
+    /// Read by nothing: the tensor kernels have one arithmetic. Kept only
+    /// for `perfbench/src/train.rs:50` and `:146`, which pin it to
+    /// `Reference` and pass it to `sarn_par::set_reduction_order`; delete
+    /// it once a benchmark change drops that pin. Not part of the
+    /// checkpoint fingerprint.
     pub reduction_order: sarn_par::ReductionOrder,
     /// Active components.
     pub variant: SarnVariant,
@@ -279,13 +276,6 @@ impl SarnConfig {
         self
     }
 
-    /// Sets the kernel reduction order (`Reference` = bit-exact scalar,
-    /// `Fast` = SIMD-friendly re-associated sums).
-    pub fn with_reduction_order(mut self, order: sarn_par::ReductionOrder) -> Self {
-        self.reduction_order = order;
-        self
-    }
-
     /// Sets the `A^s` spatial-join strategy (`Reference` = all-pairs
     /// oracle, `Grid` = bucketed near-linear join; bit-identical output,
     /// so not fingerprinted).
@@ -362,12 +352,9 @@ impl SarnConfig {
     /// under a different value. Deliberately excluded: `max_epochs` itself
     /// (with the horizon pinned via `schedule_epochs`, a larger budget
     /// *extends* a run), `patience`, `num_threads` (training is bitwise
-    /// identical at every thread count), `reduction_order` (an execution
-    /// strategy, not a hyper-parameter: resuming a checkpoint under the
-    /// other mode is permitted and continues the run under that mode's
-    /// arithmetic — bitwise resume guarantees hold within a fixed mode),
-    /// `similarity.join` (the `A^s` spatial-join strategy builds the
-    /// identical edge list either way —
+    /// identical at every thread count), `reduction_order` (read by
+    /// nothing), `similarity.join` (the `A^s` spatial-join strategy builds
+    /// the identical edge list either way —
     /// `crates/core/tests/spatial_join_equivalence.rs` proves it — so it
     /// can never fork a trajectory), the checkpoint knobs themselves,
     /// the watchdog/fault knobs (a healthy watched run is bitwise
@@ -483,14 +470,6 @@ mod tests {
         assert_eq!(
             base.fingerprint(),
             base.clone().with_num_threads(8).fingerprint()
-        );
-        // The reduction order is an execution strategy, like the thread
-        // count: it never forks a checkpoint lineage.
-        assert_eq!(
-            base.fingerprint(),
-            base.clone()
-                .with_reduction_order(sarn_par::ReductionOrder::Fast)
-                .fingerprint()
         );
         assert_eq!(
             base.fingerprint(),

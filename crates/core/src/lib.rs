@@ -41,7 +41,6 @@ pub use config::{LossSimilarity, Readout, SarnConfig, SarnVariant};
 pub use features::{DiscretizedFeatures, FeatureEmbedding, NUM_FEATURES};
 pub use model::{Backbone, BackboneDims, SarnModel};
 pub use queues::CellQueues;
-pub use sarn_par::ReductionOrder;
 pub use similarity::{
     join_cell_side_m, pairwise_similarity, SpatialIndex, SpatialJoin, SpatialSimilarity,
     SpatialSimilarityConfig,
@@ -52,10 +51,9 @@ pub use watchdog::{
     RecoveryEvent, TrainError, Watchdog, WatchdogConfig,
 };
 
-/// Serializes this crate's unit tests that run tensor math. The reduction
-/// order and the thread count are process globals: `try_train` sets them
-/// from its config, and the step-oracle test switches them, so no two such
-/// tests may interleave.
+/// Serializes this crate's unit tests that run tensor math. The thread
+/// count is a process global: `try_train` sets it from its config, and the
+/// step-oracle test switches it, so no two such tests may interleave.
 #[cfg(test)]
 pub(crate) fn test_knobs() -> std::sync::MutexGuard<'static, ()> {
     static KNOBS: std::sync::Mutex<()> = std::sync::Mutex::new(());

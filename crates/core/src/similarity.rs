@@ -44,7 +44,7 @@ const PAR_MIN_SEGMENTS: usize = 512;
 
 /// Which spatial self-join builds `A^s`.
 ///
-/// An execution-strategy knob like [`sarn_par::ReductionOrder`]: both
+/// An execution-strategy knob like `SarnConfig::num_threads`: both
 /// strategies produce bit-identical edge lists, so the choice is excluded
 /// from the checkpoint config fingerprint and may differ between a
 /// checkpoint's producer and its resumer.

@@ -111,7 +111,6 @@ pub fn try_train(net: &RoadNetwork, cfg: &SarnConfig) -> Result<SarnTrained, Tra
     let start = Instant::now();
     cfg.obs.apply();
     sarn_par::set_num_threads(cfg.num_threads);
-    sarn_par::set_reduction_order(cfg.reduction_order);
     let n = net.num_segments();
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5A4E);
 
@@ -827,8 +826,8 @@ fn update_batch(
     Ok(loss_value)
 }
 
-/// In-place row L2 normalization of a raw tensor (the norm honors the
-/// reduction-order knob through the shared kernel).
+/// In-place row L2 normalization of a raw tensor (the norm is the shared
+/// kernel's left-to-right sum of squares).
 fn normalize_rows(t: &mut Tensor) {
     for i in 0..t.rows() {
         let row = t.row_slice_mut(i);
@@ -949,11 +948,10 @@ mod tests {
         assert_eq!(entries(a), entries(b), "{at}: queue entries");
     }
 
-    /// Restores the default knobs even when an assertion fails.
+    /// Restores the default thread count even when an assertion fails.
     struct ResetKnobs;
     impl Drop for ResetKnobs {
         fn drop(&mut self) {
-            sarn_par::set_reduction_order(sarn_par::ReductionOrder::Reference);
             sarn_par::set_num_threads(1);
         }
     }
@@ -961,7 +959,6 @@ mod tests {
     #[test]
     fn block_step_equals_the_full_graph_step_bit_for_bit() {
         use crate::config::LossSimilarity;
-        use sarn_par::ReductionOrder;
         let _knobs = crate::test_knobs();
         let _reset = ResetKnobs;
         let net = tiny_net();
@@ -990,20 +987,13 @@ mod tests {
                     .src()
                     .len();
                 assert!(field < n, "3-hop field {field} of {n} rows drops none");
-                for (reduction, threads) in [
-                    (ReductionOrder::Reference, 1),
-                    (ReductionOrder::Reference, 4),
-                    (ReductionOrder::Fast, 1),
-                    (ReductionOrder::Fast, 4),
-                ] {
-                    sarn_par::set_reduction_order(reduction);
+                for threads in [1, 4] {
                     sarn_par::set_num_threads(threads);
                     let mut block = StepState::new(&net, &cfg);
                     let mut full = StepState::new(&net, &cfg);
                     assert_same_state(&block, &full, "start");
                     for (b, batch) in order.chunks(cfg.batch_size).enumerate() {
-                        let at =
-                            format!("{variant:?}/{similarity:?}/{reduction:?}/{threads} batch {b}");
+                        let at = format!("{variant:?}/{similarity:?}/{threads} batch {b}");
                         let block_loss = train_batch(
                             &mut block.model,
                             &cfg,

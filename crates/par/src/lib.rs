@@ -16,13 +16,6 @@
 //! has to reach deep into `sarn-tensor` ops that have no config parameter.
 //! `0` defers to `RAYON_NUM_THREADS` (kept for familiarity) and then to the
 //! machine; `1` — the default — is the serial path.
-//!
-//! A second process-wide knob, [`set_reduction_order`], selects between the
-//! bit-exact scalar kernels ([`ReductionOrder::Reference`], the default) and
-//! the SIMD-friendly blocked kernels ([`ReductionOrder::Fast`]) in
-//! `sarn-tensor`. It lives here so the blocking dispatch composes with the
-//! deterministic row partitioning above: both modes split work into the same
-//! contiguous chunks; only the in-chunk association differs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,76 +26,25 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Requested thread count; `0` means "resolve automatically".
 static REQUESTED: AtomicUsize = AtomicUsize::new(1);
 
-/// Current [`ReductionOrder`] as its `as usize` discriminant.
-static REDUCTION: AtomicUsize = AtomicUsize::new(ReductionOrder::Reference as usize);
-
-/// How the compute kernels may associate floating-point reductions.
+/// The arithmetic the compute kernels use. There is one: every output
+/// keeps its serial accumulation chain.
 ///
-/// The thread backend never reorders accumulation — parallel runs are
-/// bit-identical to serial ones in *both* modes. What `Fast` relaxes is the
-/// *serial* association: a kernel may split a sum across SIMD-lane
-/// accumulators or cache blocks and combine the partials in a fixed but
-/// different order. `Fast` results are therefore deterministic (same input
-/// and thread count ⇒ same bits, and thread count still does not matter)
-/// but not bitwise comparable to `Reference` — only numerically close.
+/// Kept only for `perfbench/src/train.rs:50` and `:146`, which pin
+/// `ReductionOrder::Reference` and pass it to [`set_reduction_order`];
+/// delete it once a benchmark change drops that pin.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ReductionOrder {
-    /// Scalar left-to-right accumulation: bit-identical to the original
-    /// scalar kernels at every thread count. The bitwise-determinism
-    /// suites (resume, parallel equivalence, obs invisibility) run here.
+    /// Each output's serial chain, the only arithmetic the kernels have.
     #[default]
     Reference,
-    /// Blocked/multi-accumulator kernels that the compiler can
-    /// autovectorize. Re-associates sums, so it trades cross-mode bitwise
-    /// identity for speed while staying self-deterministic.
-    Fast,
 }
 
-impl ReductionOrder {
-    /// Parses the conventional knob spelling (case-insensitive
-    /// `"reference"`/`"fast"`); anything else is `None`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "reference" | "ref" => Some(Self::Reference),
-            "fast" => Some(Self::Fast),
-            _ => None,
-        }
-    }
-
-    /// Reads `SARN_REDUCTION_ORDER` from the environment, defaulting to
-    /// `Reference` when unset or unparseable.
-    pub fn from_env() -> Self {
-        std::env::var("SARN_REDUCTION_ORDER")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or_default()
-    }
-
-    /// Stable lowercase label (`"reference"` / `"fast"`), the inverse of
-    /// [`ReductionOrder::parse`].
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Reference => "reference",
-            Self::Fast => "fast",
-        }
-    }
-}
-
-/// Sets the process-wide reduction order. Like [`set_num_threads`] this is
-/// a global knob because it has to reach tensor kernels that take no config
-/// parameter; training sets it from `SarnConfig` at run start.
-pub fn set_reduction_order(order: ReductionOrder) {
-    REDUCTION.store(order as usize, Ordering::SeqCst);
-}
-
-/// The reduction order kernels should currently use.
-pub fn reduction_order() -> ReductionOrder {
-    if REDUCTION.load(Ordering::SeqCst) == ReductionOrder::Fast as usize {
-        ReductionOrder::Fast
-    } else {
-        ReductionOrder::Reference
-    }
-}
+/// Does nothing: the kernels have one arithmetic.
+///
+/// Kept only for `perfbench/src/train.rs:50` and `:146`, which pin
+/// [`ReductionOrder::Reference`] and pass it here; delete it once a
+/// benchmark change drops that pin.
+pub fn set_reduction_order(_order: ReductionOrder) {}
 
 /// Sets the process-wide thread count: `0` = automatic (the
 /// `RAYON_NUM_THREADS` environment variable, then the machine's available
@@ -317,33 +259,6 @@ mod tests {
             });
             let flat: Vec<usize> = parts.into_iter().flatten().collect();
             assert_eq!(flat, (0..100).collect::<Vec<_>>(), "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn reduction_order_round_trips_through_the_knob() {
-        let _guard = KNOB.lock().unwrap();
-        assert_eq!(reduction_order(), ReductionOrder::Reference);
-        set_reduction_order(ReductionOrder::Fast);
-        assert_eq!(reduction_order(), ReductionOrder::Fast);
-        set_reduction_order(ReductionOrder::Reference);
-        assert_eq!(reduction_order(), ReductionOrder::Reference);
-    }
-
-    #[test]
-    fn reduction_order_parsing_and_labels() {
-        assert_eq!(
-            ReductionOrder::parse("reference"),
-            Some(ReductionOrder::Reference)
-        );
-        assert_eq!(
-            ReductionOrder::parse("REF"),
-            Some(ReductionOrder::Reference)
-        );
-        assert_eq!(ReductionOrder::parse("Fast"), Some(ReductionOrder::Fast));
-        assert_eq!(ReductionOrder::parse("simd"), None);
-        for o in [ReductionOrder::Reference, ReductionOrder::Fast] {
-            assert_eq!(ReductionOrder::parse(o.label()), Some(o));
         }
     }
 

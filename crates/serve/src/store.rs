@@ -149,9 +149,8 @@ impl Generation {
     }
 
     /// Cosine similarity between two rows, through the shared
-    /// [`sarn_tensor::kernels`] dot kernel (so serve-side scoring follows
-    /// the same reduction-order knob as training) against the precomputed
-    /// norms.
+    /// [`sarn_tensor::kernels`] dot kernel (the same left-to-right sum
+    /// training uses) against the precomputed norms.
     fn similarity(&self, a: usize, b: usize) -> f32 {
         let dot =
             sarn_tensor::kernels::dot(self.embeddings.row_slice(a), self.embeddings.row_slice(b));

@@ -612,9 +612,8 @@ impl Graph {
     ///
     /// The scatter accumulation order and the ELU expression are exactly
     /// those of the unfused `segment_weighted_sum` + [`Graph::elu`] pair, so
-    /// the fused op is bit-identical to the two-node form in both reduction
-    /// orders — it only removes a tape node and a full extra pass over the
-    /// `nseg x d` output.
+    /// the fused op is bit-identical to the two-node form — it only removes
+    /// a tape node and a full extra pass over the `nseg x d` output.
     pub fn segment_weighted_sum_elu(
         &self,
         alpha: Var,
@@ -651,18 +650,15 @@ impl Graph {
     /// the `E x 1` result is `a^T [wx[center_src[e]] || hn[e]]`, for `wx`
     /// `n x d`, `hn` `E x d` (one row per edge) and `a` `2d x 1`.
     ///
-    /// Values and gradients equal, bit for bit and in both reduction
-    /// orders, those of
+    /// Values and gradients equal, bit for bit, those of
     /// `matmul(concat_cols([gather_rows(wx, center_src), hn]), a)`:
-    /// - Reference keeps that matmul's chain per edge (ascending terms,
+    /// - The forward keeps that matmul's chain per edge (ascending terms,
     ///   zero entries skipped, from `+0`). The chain's center half depends
     ///   only on the center row, so it runs once per center and continues
     ///   per edge over the neighbour half.
-    /// - Fast is the `m = 1` matmul's `dot_fast` over the two rows, read in
-    ///   place.
     /// - The backward is the matmul's, then the concat's and the gather's:
-    ///   `d a` sums over the joined rows in edge order (Reference skips
-    ///   zero entries, as its `t_matmul` does), each edge's gradient term
+    ///   `d a` sums over the joined rows in edge order (skipping zero
+    ///   entries, as `t_matmul` does), each edge's gradient term
     ///   is `0 + g[e] · a[j]` (the `k = 1` `matmul_t` chain, which turns
     ///   `−0` into `+0`), and `wx` receives the center half scattered by
     ///   `center_src` in edge order.
@@ -988,50 +984,37 @@ fn gat_scores_value(wx: &Tensor, hn: &Tensor, a: &Tensor, center_src: &[usize]) 
     let (a_c, a_n) = a.data().split_at(d);
     let mut out = vec![0.0f32; center_src.len()];
     let gate = par_gate(center_src.len() >= PAR_MIN_EDGES);
-    match sarn_par::reduction_order() {
-        sarn_par::ReductionOrder::Reference => {
-            let mut center_half = vec![0.0f32; wx.rows()];
-            let mut done = vec![false; wx.rows()];
-            for &c in center_src {
-                if !done[c] {
-                    center_half[c] = crate::kernels::chain_reference(0.0, wx.row_slice(c), a_c);
-                    done[c] = true;
-                }
-            }
-            sarn_par::par_chunks_mut(&mut out, 1, gate, |offset, chunk| {
-                for (i, o) in chunk.iter_mut().enumerate() {
-                    let e = offset + i;
-                    let acc = center_half[center_src[e]];
-                    *o = crate::kernels::chain_reference(acc, hn.row_slice(e), a_n);
-                }
-            });
-        }
-        sarn_par::ReductionOrder::Fast => {
-            sarn_par::par_chunks_mut(&mut out, 1, gate, |offset, chunk| {
-                for (i, o) in chunk.iter_mut().enumerate() {
-                    let e = offset + i;
-                    let (c, n) = (wx.row_slice(center_src[e]), hn.row_slice(e));
-                    *o = crate::kernels::dot_fast_concat(c, n, a.data());
-                }
-            });
+    let mut center_half = vec![0.0f32; wx.rows()];
+    let mut done = vec![false; wx.rows()];
+    for &c in center_src {
+        if !done[c] {
+            center_half[c] = crate::kernels::continue_chain(0.0, wx.row_slice(c), a_c);
+            done[c] = true;
         }
     }
+    sarn_par::par_chunks_mut(&mut out, 1, gate, |offset, chunk| {
+        for (i, o) in chunk.iter_mut().enumerate() {
+            let e = offset + i;
+            let acc = center_half[center_src[e]];
+            *o = crate::kernels::continue_chain(acc, hn.row_slice(e), a_n);
+        }
+    });
     Tensor::from_vec(center_src.len(), 1, out)
 }
 
 /// One edge's gradient term for a joined-row entry: `0 + g · a`, the
-/// `k = 1` chain of `matmul_t` in both reduction orders.
+/// `k = 1` chain of `matmul_t`.
 #[inline]
 fn score_term(g: f32, a: f32) -> f32 {
     0.0 + g * a
 }
 
-/// `out[j] += x[j] * s` for every `j`, skipping zero `x[j]` when
-/// `skip_zeros` (the Reference `t_matmul` skips zero lhs entries).
+/// `out[j] += x[j] * s` for every `j`, skipping zero `x[j]` as `t_matmul`
+/// skips zero lhs entries.
 #[inline]
-fn add_scaled(out: &mut [f32], x: &[f32], s: f32, skip_zeros: bool) {
+fn add_scaled(out: &mut [f32], x: &[f32], s: f32) {
     for (o, &xv) in out.iter_mut().zip(x) {
-        if !(skip_zeros && xv == 0.0) {
+        if xv != 0.0 {
             *o += xv * s;
         }
     }
@@ -1050,7 +1033,6 @@ fn gat_scores_backward(
     let (rows, d) = wx.shape();
     let edges = center_src.len();
     let (a_c, a_n) = a.data().split_at(d);
-    let skip_zeros = sarn_par::reduction_order() == sarn_par::ReductionOrder::Reference;
     let mut da = vec![0.0f32; 2 * d];
     let gate = par_gate(edges >= PAR_MIN_EDGES);
     sarn_par::par_chunks_mut(&mut da, 1, gate, |offset, chunk| {
@@ -1060,8 +1042,8 @@ fn gat_scores_backward(
         let (c0, n0) = (offset.min(d), (offset + split).saturating_sub(d));
         for (e, &c) in center_src.iter().enumerate() {
             let ge = g.at(e, 0);
-            add_scaled(dc, &wx.row_slice(c)[c0..c0 + dc.len()], ge, skip_zeros);
-            add_scaled(dn, &hn.row_slice(e)[n0..n0 + dn.len()], ge, skip_zeros);
+            add_scaled(dc, &wx.row_slice(c)[c0..c0 + dc.len()], ge);
+            add_scaled(dn, &hn.row_slice(e)[n0..n0 + dn.len()], ge);
         }
     });
     let cols = d.max(1);

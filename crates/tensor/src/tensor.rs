@@ -9,13 +9,9 @@
 //! above a per-kernel work threshold the output is split into contiguous
 //! row blocks computed concurrently. Every output element is written by
 //! exactly one thread with the same accumulation order as the serial loop,
-//! so results are bit-identical at any thread count.
-//!
-//! The matmul-shaped ops additionally honor the process-wide
-//! [`sarn_par::ReductionOrder`] knob: `Reference` (default) runs the loops
-//! below, which keep each output's serial accumulation chain, and `Fast`
-//! dispatches to the autovectorizable blocked kernels in
-//! [`crate::kernels`]. See that module for the exact contract.
+//! so results are bit-identical at any thread count. The matmul-shaped ops
+//! keep each output's serial accumulation chain; [`crate::kernels`] states
+//! the contract.
 
 use std::fmt;
 
@@ -164,13 +160,9 @@ impl Tensor {
         self.data[0]
     }
 
-    /// Matrix product `self * rhs`.
-    ///
-    /// In [`sarn_par::ReductionOrder::Reference`] mode (default) this is the
-    /// `i-k-j` loop, streaming contiguous rows of both the accumulator and
-    /// `rhs` and skipping zero entries of `self`; in `Fast` mode it
-    /// dispatches to the packed-B panel kernel
-    /// ([`crate::kernels::matmul_fast`]).
+    /// Matrix product `self * rhs`: the `i-k-j` loop, streaming contiguous
+    /// rows of both the accumulator and `rhs` and skipping zero entries of
+    /// `self`.
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, rhs.rows,
@@ -178,19 +170,13 @@ impl Tensor {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let (n, k, m) = (self.rows, self.cols, rhs.cols);
-        if sarn_par::reduction_order() == sarn_par::ReductionOrder::Fast {
-            return Tensor::from_vec(
-                n,
-                m,
-                crate::kernels::matmul_fast(&self.data, n, k, &rhs.data, m),
-            );
-        }
         let mut out = vec![0.0f32; n * m];
+        let cols = m.max(1);
         // Row blocks of the output are independent; within a block the
         // i-k-j order is exactly the serial loop.
-        sarn_par::par_chunks_mut(&mut out, m.max(1), par_min_out(k), |offset, chunk| {
-            let i0 = offset / m.max(1);
-            for (di, orow) in chunk.chunks_mut(m).enumerate() {
+        sarn_par::par_chunks_mut(&mut out, cols, par_min_out(k), |offset, chunk| {
+            let i0 = offset / cols;
+            for (di, orow) in chunk.chunks_mut(cols).enumerate() {
                 let i = i0 + di;
                 let arow = &self.data[i * k..(i + 1) * k];
                 for (kk, &a) in arow.iter().enumerate() {
@@ -215,13 +201,6 @@ impl Tensor {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let (k, n, m) = (self.rows, self.cols, rhs.cols);
-        if sarn_par::reduction_order() == sarn_par::ReductionOrder::Fast {
-            return Tensor::from_vec(
-                n,
-                m,
-                crate::kernels::t_matmul_fast(&self.data, k, n, &rhs.data, m),
-            );
-        }
         let mut out = vec![0.0f32; n * m];
         // Each block owns a contiguous range of output rows and scans the
         // full `kk` axis in ascending order, applying only the entries that
@@ -248,8 +227,8 @@ impl Tensor {
 
     /// `self * rhs^T`.
     ///
-    /// In Reference mode every output is the serial chain
-    /// `((0 + a_0 b_0) + a_1 b_1) + …` over ascending `k`, with no zero-skip.
+    /// Every output is the serial chain `((0 + a_0 b_0) + a_1 b_1) + …` over
+    /// ascending `k`, with no zero-skip.
     /// The loop transposes `rhs` once and runs `i-k-j`, so the inner loop
     /// advances every output of a row by one term and vectorizes while each
     /// chain keeps its order.
@@ -260,18 +239,12 @@ impl Tensor {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let (n, k, m) = (self.rows, self.cols, rhs.rows);
-        if sarn_par::reduction_order() == sarn_par::ReductionOrder::Fast {
-            return Tensor::from_vec(
-                n,
-                m,
-                crate::kernels::matmul_t_fast(&self.data, n, k, &rhs.data, m),
-            );
-        }
         let rhs_t = rhs.transpose();
         let mut out = vec![0.0f32; n * m];
-        sarn_par::par_chunks_mut(&mut out, m.max(1), par_min_out(k), |offset, chunk| {
-            let i0 = offset / m.max(1);
-            for (di, orow) in chunk.chunks_mut(m).enumerate() {
+        let cols = m.max(1);
+        sarn_par::par_chunks_mut(&mut out, cols, par_min_out(k), |offset, chunk| {
+            let i0 = offset / cols;
+            for (di, orow) in chunk.chunks_mut(cols).enumerate() {
                 let arow = &self.data[(i0 + di) * k..(i0 + di + 1) * k];
                 for (kk, &a) in arow.iter().enumerate() {
                     let brow = &rhs_t.data[kk * m..(kk + 1) * m];
@@ -356,13 +329,14 @@ impl Tensor {
         self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
     }
 
-    /// Squared Frobenius norm (honors the reduction-order knob).
+    /// Squared Frobenius norm, summed left to right
+    /// ([`crate::kernels::squared_norm`]).
     pub fn norm_sq(&self) -> f32 {
         crate::kernels::squared_norm(&self.data)
     }
 
-    /// Dot product of two row slices of equal length (honors the
-    /// reduction-order knob).
+    /// Dot product of two row slices of equal length, summed left to right
+    /// ([`crate::kernels::dot`]).
     pub fn dot(a: &[f32], b: &[f32]) -> f32 {
         debug_assert_eq!(a.len(), b.len());
         crate::kernels::dot(a, b)

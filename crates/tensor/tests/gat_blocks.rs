@@ -1,20 +1,19 @@
 //! Block-pass equivalence: a GAT encoder run over the per-layer blocks
 //! `EdgeIndex::blocks` cuts for some rows computes those rows, and the
 //! parameter gradients of a loss on them, bit for bit as the full-graph
-//! pass does. Random edge lists, random row sets, 1–3 layers, both
-//! reduction orders, 1 and 4 threads.
+//! pass does. Random edge lists, random row sets, 1–3 layers, 1 and 4
+//! threads.
 //!
 //! The input is a lookup into a parameter table with colliding row ids, as
 //! the feature embedding is, so the table's scatter-add gradient is pinned
-//! too. The reduction-order and thread knobs are process globals: every
-//! change happens under one lock and Reference / 1 thread is restored.
+//! too. The thread knob is a process global: every change happens under
+//! one lock and 1 thread is restored.
 
 use std::sync::Mutex;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sarn_par::ReductionOrder;
 use sarn_tensor::layers::{EdgeIndex, GatEncoder};
 use sarn_tensor::{init, Graph, ParamId, ParamStore, Tensor};
 
@@ -98,23 +97,19 @@ proptest! {
         let fx = Fixture::new(seed, n_layers, rows.len());
         let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
         let mut outcome = Ok(());
-        'modes: for order in [ReductionOrder::Reference, ReductionOrder::Fast] {
-            for threads in [1, 4] {
-                sarn_par::set_reduction_order(order);
-                sarn_par::set_num_threads(threads);
-                let full = fx.run(&edges, &rows, false);
-                let block = fx.run(&edges, &rows, true);
-                if full.0 != block.0 {
-                    outcome = Err(format!("{order:?}/{threads}: rows differ"));
-                    break 'modes;
-                }
-                if full.1 != block.1 {
-                    outcome = Err(format!("{order:?}/{threads}: gradients differ"));
-                    break 'modes;
-                }
+        for threads in [1, 4] {
+            sarn_par::set_num_threads(threads);
+            let full = fx.run(&edges, &rows, false);
+            let block = fx.run(&edges, &rows, true);
+            if full.0 != block.0 {
+                outcome = Err(format!("{threads} threads: rows differ"));
+                break;
+            }
+            if full.1 != block.1 {
+                outcome = Err(format!("{threads} threads: gradients differ"));
+                break;
             }
         }
-        sarn_par::set_reduction_order(ReductionOrder::Reference);
         sarn_par::set_num_threads(1);
         outcome?;
     }

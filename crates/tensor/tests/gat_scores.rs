@@ -1,8 +1,8 @@
 //! The fused GAT logit op, `Graph::gat_scores`, against the composition it
 //! replaces in the GAT layer, `matmul(concat_cols([gather_rows(wx,
 //! center), hn]), a)`, which this file keeps as the oracle. The logits and
-//! the gradients of `wx`, `hn` and `a` must match by `to_bits` in both
-//! reduction orders at 1 and 4 threads.
+//! the gradients of `wx`, `hn` and `a` must match by `to_bits` at 1 and 4
+//! threads.
 //!
 //! The inputs aim at every place a fused kernel could leave the chain the
 //! matmul builds:
@@ -14,7 +14,7 @@
 //!   entries in the `d a` sum;
 //! - centers shared by many edges, next to rows whose only in-edge is their
 //!   self-loop;
-//! - head widths off the `LANES` grid, and the empty edge list.
+//! - head widths from 1 to 13, and the empty edge list.
 //!
 //! As in the layer, `hn` is gathered from `wx` and also feeds a weighted
 //! sum, so both gradients take contributions from elsewhere in the graph.
@@ -27,11 +27,10 @@ use std::rc::Rc;
 use std::sync::Mutex;
 
 use proptest::prelude::*;
-use sarn_par::ReductionOrder;
 use sarn_tensor::{Graph, Tensor, Var};
 
-/// The reduction-order and thread knobs are process globals: every change
-/// happens under this lock, and Reference / 1 thread is restored.
+/// The thread knob is a process global: every change happens under this
+/// lock, and 1 thread is restored.
 static KNOB: Mutex<()> = Mutex::new(());
 
 /// One input set for the op.
@@ -152,23 +151,19 @@ fn unfused(c: &Case) -> Bits {
     })
 }
 
-/// Compares the op with the oracle in both orders at 1 and 4 threads.
+/// Compares the op with the oracle at 1 and 4 threads.
 fn check(c: &Case) -> Result<(), String> {
     let _guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
     let mut outcome = Ok(());
-    'modes: for order in [ReductionOrder::Reference, ReductionOrder::Fast] {
-        for threads in [1, 4] {
-            sarn_par::set_reduction_order(order);
-            sarn_par::set_num_threads(threads);
-            let (want, got) = (unfused(c), fused(c));
-            if let Some(i) = (0..want.len()).find(|&i| want[i] != got[i]) {
-                let what = ["logits", "d wx", "d hn", "d a"][i];
-                outcome = Err(format!("{order:?}/{threads} threads: {what} differ"));
-                break 'modes;
-            }
+    for threads in [1, 4] {
+        sarn_par::set_num_threads(threads);
+        let (want, got) = (unfused(c), fused(c));
+        if let Some(i) = (0..want.len()).find(|&i| want[i] != got[i]) {
+            let what = ["logits", "d wx", "d hn", "d a"][i];
+            outcome = Err(format!("{threads} threads: {what} differ"));
+            break;
         }
     }
-    sarn_par::set_reduction_order(ReductionOrder::Reference);
     sarn_par::set_num_threads(1);
     outcome
 }

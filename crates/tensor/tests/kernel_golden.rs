@@ -1,90 +1,64 @@
-//! Golden-value tests pinning the Fast kernels' packed-B panel layout and
-//! block/tile boundary handling.
+//! Golden-value tests pinning the matmul-shaped ops on integer fixtures,
+//! their degenerate shapes, and the ELU expression.
 //!
 //! Every fixture uses small integers, which f32 represents exactly and —
 //! as long as intermediate sums stay below 2^24 — adds exactly in *any*
-//! association. Re-association therefore cannot move these results, so the
-//! expected values are asserted bitwise: a failure means the layout or the
-//! boundary handling changed, not that rounding drifted.
+//! association. Rounding therefore cannot move these results, so the
+//! expected values are asserted bitwise: a failure means the indexing or
+//! the shape handling changed, not that rounding drifted.
 
-use sarn_tensor::kernels::{
-    self, matmul_fast, matmul_fast_blocked, matmul_t_fast, pack_b_panels, t_matmul_fast, BLOCK_K,
-    LANES, PANEL_COLS,
-};
+use sarn_tensor::{kernels, Tensor};
 
-/// Row-major 3x5 B used by the packing and matmul fixtures:
+/// Row-major 3x5 B used by the matmul fixtures:
 /// ```text
 ///  1  2  3  4  5
 ///  6  7  8  9 10
 /// 11 12 13 14 15
 /// ```
-fn b_3x5() -> Vec<f32> {
-    (1..=15).map(|v| v as f32).collect()
+fn b_3x5() -> Tensor {
+    Tensor::from_vec(3, 5, (1..=15).map(|v| v as f32).collect())
+}
+
+/// A (2x3) = [[1,2,3],[4,5,6]].
+fn a_2x3() -> Tensor {
+    Tensor::from_vec(2, 3, (1..=6).map(|v| v as f32).collect())
 }
 
 #[test]
-fn packed_b_panel_layout_is_pinned() {
-    // panel_cols = 2 over m = 5 gives panels of columns {0,1}, {2,3}, {4}:
-    // each panel stores its k=3 rows contiguously, and panel p starts at
-    // flat offset p * panel_cols * k.
-    let packed = pack_b_panels(&b_3x5(), 3, 5, 2);
-    assert_eq!(
-        packed,
-        vec![
-            1.0, 2.0, 6.0, 7.0, 11.0, 12.0, // panel 0: columns 0..2
-            3.0, 4.0, 8.0, 9.0, 13.0, 14.0, // panel 1: columns 2..4
-            5.0, 10.0, 15.0, // panel 2: the partial last panel, column 4
-        ]
-    );
-    // Full-width "panels": packing degenerates to the identity copy.
-    assert_eq!(pack_b_panels(&b_3x5(), 3, 5, 5), b_3x5());
-}
-
-#[test]
-fn blocked_matmul_handles_partial_tiles_exactly() {
-    // 2x3 * 3x5 with panel_cols = 2 (last panel 1 wide) and block_k = 2
-    // (last k-block 1 deep): every blocking dimension ends on a partial
-    // tile. Hand-computed product of A = [[1,2,3],[4,5,6]] and `b_3x5`.
-    let a: Vec<f32> = (1..=6).map(|v| v as f32).collect();
+fn matmul_matches_a_hand_computed_fixture() {
+    // Hand-computed product of `a_2x3` and `b_3x5`.
     let expected = vec![
         46.0, 52.0, 58.0, 64.0, 70.0, // row 0
         100.0, 115.0, 130.0, 145.0, 160.0, // row 1
     ];
-    assert_eq!(matmul_fast_blocked(&a, 2, 3, &b_3x5(), 5, 2, 2), expected);
-    // The same product under the default blocking (shape far smaller than
-    // one panel/block) must land on the same integers.
-    assert_eq!(matmul_fast(&a, 2, 3, &b_3x5(), 5), expected);
+    assert_eq!(a_2x3().matmul(&b_3x5()).data(), &expected[..]);
 }
 
 #[test]
 fn column_vector_rhs_takes_the_exact_dot_path() {
-    // m == 1 bypasses the panel machinery for a lane-accumulator dot per
-    // output row.
-    let a: Vec<f32> = (1..=6).map(|v| v as f32).collect();
-    let b = vec![1.0, 2.0, 3.0];
-    assert_eq!(matmul_fast(&a, 2, 3, &b, 1), vec![14.0, 32.0]);
+    // m == 1: each output row is one dot product.
+    let b = Tensor::col(&[1.0, 2.0, 3.0]);
+    assert_eq!(a_2x3().matmul(&b).data(), &[14.0, 32.0]);
 }
 
 #[test]
 fn transpose_kernels_match_hand_computed_fixtures() {
-    // A (2x3) = [[1,2,3],[4,5,6]] times B^T with B (2x3) = [[1,0,2],[3,1,0]].
-    let a: Vec<f32> = (1..=6).map(|v| v as f32).collect();
-    let b = vec![1.0, 0.0, 2.0, 3.0, 1.0, 0.0];
-    assert_eq!(matmul_t_fast(&a, 2, 3, &b, 2), vec![7.0, 5.0, 16.0, 17.0]);
-    // A^T with A (2x3) as above, times C (2x2) = [[1,2],[3,4]].
-    let c = vec![1.0, 2.0, 3.0, 4.0];
+    // A times B^T with B (2x3) = [[1,0,2],[3,1,0]].
+    let b = Tensor::from_vec(2, 3, vec![1.0, 0.0, 2.0, 3.0, 1.0, 0.0]);
+    assert_eq!(a_2x3().matmul_t(&b).data(), &[7.0, 5.0, 16.0, 17.0]);
+    // A^T times C (2x2) = [[1,2],[3,4]].
+    let c = Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
     assert_eq!(
-        t_matmul_fast(&a, 2, 3, &c, 2),
-        vec![13.0, 18.0, 17.0, 24.0, 21.0, 30.0]
+        a_2x3().t_matmul(&c).data(),
+        &[13.0, 18.0, 17.0, 24.0, 21.0, 30.0]
     );
 }
 
 #[test]
-fn blocked_matmul_crosses_every_boundary_exactly() {
-    // Integer matrices sized to cross the panel boundary (m = 19 > 16),
-    // a deliberately tiny k-block (block_k = 4 over k = 11), and enough
-    // rows to split across parallel chunks. Integer arithmetic makes the
-    // scalar model below exact, so the comparison is bitwise.
+fn matmul_matches_an_integer_model_exactly() {
+    // Integer matrices with zero lhs entries (the skipped terms). Integer
+    // arithmetic makes the scalar model below exact, so the comparison is
+    // bitwise; the transpose ops must land on the same integers.
     let (n, k, m) = (5usize, 11usize, 19usize);
     let a: Vec<f32> = (0..n * k).map(|i| ((i * 7 % 23) as f32) - 11.0).collect();
     let b: Vec<f32> = (0..k * m).map(|i| ((i * 5 % 17) as f32) - 8.0).collect();
@@ -98,37 +72,38 @@ fn blocked_matmul_crosses_every_boundary_exactly() {
             expected[i * m + j] = acc as f32;
         }
     }
-    assert_eq!(
-        matmul_fast_blocked(&a, n, k, &b, m, PANEL_COLS, 4),
-        expected
-    );
-    assert_eq!(matmul_fast(&a, n, k, &b, m), expected);
-    assert_eq!(
-        matmul_fast_blocked(&a, n, k, &b, m, 3, 2),
-        expected,
-        "odd panel/block sizes must hit the same integers"
-    );
+    let (a, b) = (Tensor::from_vec(n, k, a), Tensor::from_vec(k, m, b));
+    assert_eq!(a.matmul(&b).data(), &expected[..]);
+    assert_eq!(a.matmul_t(&b.transpose()).data(), &expected[..]);
+    assert_eq!(a.transpose().t_matmul(&b).data(), &expected[..]);
 }
 
 #[test]
 fn degenerate_shapes_produce_empty_or_zero_outputs() {
-    assert!(matmul_fast(&[], 0, 3, &b_3x5(), 5).is_empty());
-    assert!(matmul_t_fast(&[], 0, 4, &[1.0; 8], 2).is_empty());
-    assert!(t_matmul_fast(&[], 0, 0, &[], 3).is_empty());
+    // n = 0: no output rows.
+    assert_eq!(Tensor::zeros(0, 3).matmul(&b_3x5()).shape(), (0, 5));
+    assert_eq!(
+        Tensor::zeros(0, 4).matmul_t(&Tensor::zeros(2, 4)).shape(),
+        (0, 2)
+    );
+    assert_eq!(
+        Tensor::zeros(0, 0).t_matmul(&Tensor::zeros(0, 3)).shape(),
+        (0, 3)
+    );
+    // m = 0: no output columns.
+    let empty = Tensor::zeros(2, 0);
+    assert_eq!(a_2x3().matmul(&Tensor::zeros(3, 0)), empty);
+    assert_eq!(a_2x3().matmul_t(&Tensor::zeros(0, 3)), empty);
+    assert_eq!(Tensor::zeros(3, 2).t_matmul(&Tensor::zeros(3, 0)), empty);
     // k = 0: well-formed all-zero output.
-    assert_eq!(matmul_fast(&[], 2, 0, &[], 3), vec![0.0; 6]);
+    let zeros = Tensor::zeros(2, 3);
+    assert_eq!(Tensor::zeros(2, 0).matmul(&Tensor::zeros(0, 3)), zeros);
+    assert_eq!(Tensor::zeros(2, 0).matmul_t(&Tensor::zeros(3, 0)), zeros);
+    assert_eq!(Tensor::zeros(0, 2).t_matmul(&Tensor::zeros(0, 3)), zeros);
 }
 
 #[test]
-fn default_blocking_constants_are_pinned() {
-    // DESIGN.md §12 documents this exact scheme; the equivalence suite's
-    // shape lists straddle these widths. Changing any of them is a
-    // documented-contract change, not a tuning tweak.
-    assert_eq!(LANES, 8, "one 256-bit f32 vector");
-    assert_eq!(PANEL_COLS, 16, "two vectors in flight per k-step");
-    assert_eq!(BLOCK_K, 512, "32 KiB L1-resident panel slab");
-    assert_eq!(PANEL_COLS % LANES, 0);
-    assert_eq!(BLOCK_K * PANEL_COLS * std::mem::size_of::<f32>(), 32 * 1024);
+fn elu_expression_is_pinned() {
     // The fused-ELU expression the scatter shares with the map-based op.
     assert_eq!(kernels::elu(2.5, 1.0), 2.5);
     assert_eq!(kernels::elu(0.0, 1.0), 0.0);

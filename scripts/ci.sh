@@ -25,14 +25,14 @@ cargo fmt --all --check
 step "cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# The training hot path, tensor backend (including the reduction-order
-# kernels), parallel backend, geometry layer, road-network layer (the
-# spatial join's data source), serving subsystem, ANN index, and
-# telemetry layer must never panic on bad data: unwraps are banned in
-# library code there (tests, via --lib's cfg(test) compilation, still
-# may). Panics become typed TrainError / IoError / GridError /
-# ServeError / AnnError values (telemetry additionally swallows export
-# errors entirely — a metrics failure must never kill a training run).
+# The training hot path, tensor backend, parallel backend, geometry
+# layer, road-network layer (the spatial join's data source), serving
+# subsystem, ANN index, and telemetry layer must never panic on bad
+# data: unwraps are banned in library code there (tests, via --lib's
+# cfg(test) compilation, still may). Panics become typed TrainError /
+# IoError / GridError / ServeError / AnnError values (telemetry
+# additionally swallows export errors entirely — a metrics failure must
+# never kill a training run).
 step "cargo clippy -D clippy::unwrap_used (sarn-core, sarn-tensor, sarn-par, sarn-geo, sarn-roadnet, sarn-serve, sarn-ann, sarn-obs, sarn-pipeline lib code)"
 cargo clippy -p sarn-core -p sarn-tensor -p sarn-par -p sarn-geo -p sarn-roadnet -p sarn-serve -p sarn-ann -p sarn-obs -p sarn-pipeline --lib -- -D warnings -D clippy::unwrap_used
 
@@ -45,17 +45,6 @@ cargo test -q --workspace
 for t in 1 2 4; do
   step "parallel equivalence (RAYON_NUM_THREADS=$t)"
   RAYON_NUM_THREADS=$t cargo test -q -p sarn-sys-tests --test parallel_equivalence
-done
-
-# Fast <-> Reference kernel equivalence: the property/golden suites and
-# the end-to-end reduction-order determinism contract, in both modes
-# (the suites flip the knob internally; the env var seeds the default).
-for order in reference fast; do
-  step "kernel equivalence (SARN_REDUCTION_ORDER=$order)"
-  SARN_REDUCTION_ORDER=$order cargo test -q -p sarn-tensor \
-    --test kernel_equivalence --test kernel_golden
-  SARN_REDUCTION_ORDER=$order cargo test -q -p sarn-sys-tests \
-    --test kernel_reduction_order
 done
 
 # Spatial-join equivalence: the grid join must reproduce the all-pairs
@@ -76,12 +65,12 @@ step "scale smoke at SARN_NET_SCALE=2.0 (release, --ignored)"
 cargo test -q --release -p sarn-sys-tests --test scale_smoke -- --ignored
 
 # Kernel benchmark: A^s build time + peak RSS in both join modes, epoch
-# time in both reduction modes, and serve-side exact k-NN latency. A
-# second join-only invocation at scale 2.0 records the O(n²) →
-# near-linear crossover row. The report goes to a temp dir, so CI never
-# rewrites a tracked file; the committed BENCH_7.json is regenerated by
-# `rm -f BENCH_7.json` and these two commands with
-# `SARN_REPORT_JSONL=BENCH_7.json` (SARN_REPORT_JSONL appends).
+# time, and serve-side exact k-NN latency. A second join-only invocation
+# at scale 2.0 records the O(n²) → near-linear crossover row. The report
+# goes to a temp dir, so CI never rewrites a tracked file; the committed
+# BENCH_7.json is regenerated by `rm -f BENCH_7.json` and these two
+# commands with `SARN_REPORT_JSONL=BENCH_7.json` (SARN_REPORT_JSONL
+# appends).
 step "kernel benchmark"
 BENCH_DIR="$(mktemp_tracked)"
 SARN_NET_SCALE=0.22 SARN_EPOCHS=3 SARN_REPORT_JSONL="$BENCH_DIR/bench.jsonl" \
