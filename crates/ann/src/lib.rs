@@ -24,24 +24,27 @@
 //! kernel, guaranteeing the ANN path scores with the *same* kernel and
 //! operand order as the exact path.
 //!
-//! Serialization follows the checkpoint discipline: magic + version +
-//! length + CRC32 frame, written to a temp sibling and atomically
-//! renamed. A torn or bit-flipped index file fails with a typed
-//! [`AnnError`], never a panic.
+//! Serialization is magic + version + one [`sarn_durable`] length +
+//! CRC-32 frame, written with [`sarn_durable::atomic_write`] (DESIGN.md
+//! §8, "Durable writes"). A torn or bit-flipped index file fails with a
+//! typed [`AnnError`], never a panic.
 //!
 //! [HNSW]: https://arxiv.org/abs/1603.09320
 
 #![warn(missing_docs)]
 
 use std::fmt;
-use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
+
+use sarn_durable::{decode_frame, encode_frame, FrameError, FRAME_HEADER_LEN};
 
 /// Magic bytes opening every serialized index file.
 pub const MAGIC: &[u8; 8] = b"SARNHNSW";
 /// Serialization format version written after the magic.
 pub const FORMAT_VERSION: u32 = 1;
+/// Bytes before the payload: magic, version, then the frame header.
+const HEADER_LEN: usize = 12 + FRAME_HEADER_LEN;
 /// Hard cap on assigned levels (the geometric tail beyond this is
 /// astronomically unlikely and a cap keeps the format's `u8` honest).
 const MAX_LEVEL_CAP: u8 = 31;
@@ -118,42 +121,6 @@ impl From<std::io::Error> for AnnError {
     fn from(e: std::io::Error) -> Self {
         AnnError::Io(e)
     }
-}
-
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE) — private copy so the crate stays dependency-free
-// ---------------------------------------------------------------------------
-
-const CRC_TABLE: [u32; 256] = crc_table();
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-/// CRC32 (IEEE 802.3) over `bytes` — same polynomial as the checkpoint
-/// framing in `sarn-core`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
 }
 
 // ---------------------------------------------------------------------------
@@ -525,12 +492,10 @@ impl HnswIndex {
                 }
             }
         }
-        let mut out = Vec::with_capacity(24 + payload.len());
+        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        encode_frame(&mut out, &payload);
         out
     }
 
@@ -538,9 +503,9 @@ impl HnswIndex {
     /// the frame, checksum, and internal consistency. Every corruption
     /// mode returns a typed [`AnnError`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, AnnError> {
-        if bytes.len() < 24 {
+        if bytes.len() < HEADER_LEN {
             return Err(AnnError::Truncated {
-                needed: 24,
+                needed: HEADER_LEN,
                 have: bytes.len(),
             });
         }
@@ -551,28 +516,17 @@ impl HnswIndex {
         if version != FORMAT_VERSION {
             return Err(AnnError::BadVersion { found: version });
         }
-        let payload_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
-        let expected_crc = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
-        let total = 24usize.saturating_add(payload_len);
-        if bytes.len() < total {
-            return Err(AnnError::Truncated {
-                needed: total,
-                have: bytes.len(),
-            });
-        }
+        let (payload, total) = decode_frame(bytes, 12).map_err(|e| match e {
+            FrameError::Truncated { needed, have } => AnnError::Truncated { needed, have },
+            FrameError::CrcMismatch { expected, found } => {
+                AnnError::CrcMismatch { expected, found }
+            }
+        })?;
         if bytes.len() > total {
             return Err(AnnError::Malformed(format!(
                 "{} trailing bytes after the framed payload",
                 bytes.len() - total
             )));
-        }
-        let payload = &bytes[24..total];
-        let found_crc = crc32(payload);
-        if found_crc != expected_crc {
-            return Err(AnnError::CrcMismatch {
-                expected: expected_crc,
-                found: found_crc,
-            });
         }
         let mut cur = Cursor::new(payload);
         let m = cur.read_u32()? as usize;
@@ -655,25 +609,11 @@ impl HnswIndex {
         })
     }
 
-    /// Writes the serialized index to `path` atomically: the bytes go
-    /// to a temp sibling first and are fsynced, then a rename publishes
-    /// them, so a crashed writer leaves either the old file or none —
-    /// never a torn frame at the final path.
+    /// Writes the serialized index to `path` with
+    /// [`sarn_durable::atomic_write`], so a crashed writer leaves either
+    /// the old file or the new one — never a torn frame at the final path.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), AnnError> {
-        let path = path.as_ref();
-        let file_name = path
-            .file_name()
-            .ok_or_else(|| AnnError::Malformed(format!("{} has no file name", path.display())))?;
-        let mut tmp_name = file_name.to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = path.with_file_name(tmp_name);
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&self.to_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        Ok(sarn_durable::atomic_write(path.as_ref(), &self.to_bytes())?)
     }
 
     /// Reads and decodes an index file written by [`HnswIndex::save`].
@@ -795,6 +735,7 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sarn_durable::crc32;
 
     /// Deterministic pseudo-random unit-ish vectors.
     fn points(n: usize, dim: usize, salt: u64) -> Vec<Vec<f32>> {
@@ -893,6 +834,8 @@ mod tests {
         let back = HnswIndex::from_bytes(&bytes).expect("roundtrip");
         assert_eq!(idx, back);
         assert_eq!(bytes, back.to_bytes());
+        // Byte pin of the file format: length and CRC-32 of this fixed index.
+        assert_eq!((bytes.len(), crc32(&bytes)), (8973, 0x636E_4F67));
     }
 
     #[test]
@@ -938,13 +881,11 @@ mod tests {
     fn save_load_roundtrips_through_a_file() {
         let pts = points(60, 5, 21);
         let idx = build_over(&pts, HnswConfig::default());
-        let dir = std::env::temp_dir().join(format!("sarn_ann_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("index.hnsw");
+        let dir = sarn_durable::TempDir::new("ann-save").expect("temp dir");
+        let path = dir.path().join("index.hnsw");
         idx.save(&path).expect("save");
         let back = HnswIndex::load(&path).expect("load");
         assert_eq!(idx, back);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

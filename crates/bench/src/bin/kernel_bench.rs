@@ -25,6 +25,7 @@ use std::time::{Duration, Instant};
 
 use sarn_bench::{ExperimentScale, Table};
 use sarn_core::{train, SpatialJoin, SpatialSimilarity};
+use sarn_durable::TempDir;
 use sarn_roadnet::City;
 use sarn_serve::{Deadline, EmbeddingStore, ServeConfig};
 
@@ -135,9 +136,8 @@ fn main() {
     // here if the train leg was skipped).
     let embeddings =
         artifact.unwrap_or_else(|| train(&net, &scale.sarn_config_for(&net, 1)).embeddings);
-    let dir = std::env::temp_dir().join(format!("sarn_kernel_bench_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("creating the artifact directory");
-    let path = dir.join("embeddings.emb");
+    let dir = TempDir::new("kernel-bench").expect("creating the artifact directory");
+    let path = dir.path().join("embeddings.emb");
     embeddings.save(&path).expect("saving the artifact");
     let serve_cfg = ServeConfig::from_env().expect("SARN_SERVE_* knobs");
     let store = EmbeddingStore::for_network(&net, embeddings.cols(), serve_cfg)
@@ -153,6 +153,4 @@ fn main() {
     });
     knn_table.row(vec![format!("{exact_p50:.1}"), format!("{exact_p99:.1}")]);
     knn_table.print();
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -18,6 +18,7 @@
 
 use sarn_bench::{fmt_cell, ExperimentScale, Table};
 use sarn_core::train;
+use sarn_durable::TempDir;
 use sarn_obs::ObsConfig;
 use sarn_roadnet::City;
 use sarn_serve::{Deadline, EmbeddingStore, ServeConfig};
@@ -28,9 +29,14 @@ fn main() {
     let mut cfg = scale.sarn_config_for(&net, 1);
     cfg.max_epochs = cfg.max_epochs.max(2);
     cfg.schedule_epochs = cfg.schedule_horizon();
+    // Without SARN_OBS_DIR the exports go to a scratch dir removed on exit.
+    let scratch;
     let dir = match &scale.obs.export_dir {
         Some(d) => d.clone(),
-        None => std::env::temp_dir().join(format!("sarn_obs_smoke_{}", std::process::id())),
+        None => {
+            scratch = TempDir::new("obs-smoke").expect("creating the export directory");
+            scratch.path().to_path_buf()
+        }
     };
 
     // Leg 1a: baseline with telemetry off (the process default).
@@ -164,7 +170,4 @@ fn main() {
         off_epoch,
         on_epoch,
     );
-    if scale.obs.export_dir.is_none() {
-        std::fs::remove_dir_all(&dir).ok();
-    }
 }

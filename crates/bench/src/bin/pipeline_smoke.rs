@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 
 use sarn_bench::{ExperimentScale, Table};
 use sarn_core::{SpatialJoin, SpatialSimilarity, SpatialSimilarityConfig};
+use sarn_durable::TempDir;
 use sarn_geo::Point;
 use sarn_pipeline::{
     EditBatch, LiveNetwork, NetworkEdit, Pipeline, PipelineConfig, PipelineFault, PipelineFaultKind,
@@ -105,19 +106,17 @@ fn grid_cfg(sim: &SpatialSimilarityConfig) -> SpatialSimilarityConfig {
 
 fn fault_smoke(scale: &ExperimentScale) {
     let net = scale.network(City::Chengdu);
-    let state_dir =
-        std::env::temp_dir().join(format!("sarn_pipeline_smoke_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&state_dir);
+    let state_dir = TempDir::new("pipeline-smoke").expect("creating the state directory");
 
     let mut train = scale.sarn_config_for(&net, 1);
     train.checkpoint_every = 1;
-    train.checkpoint_dir = Some(state_dir.join("ckpt"));
+    train.checkpoint_dir = Some(state_dir.path().join("ckpt"));
     let serve = ServeConfig {
         max_staleness: Some(Duration::from_secs(600)),
         reload_backoff: Duration::from_millis(1),
         ..ServeConfig::from_env().expect("SARN_SERVE_* knobs")
     };
-    let mut cfg = PipelineConfig::new(train, serve, &state_dir);
+    let mut cfg = PipelineConfig::new(train, serve, state_dir.path());
     cfg.stage_backoff = Duration::from_millis(1);
     // One fault in every stage of the loop, spread across the batches.
     let faults = [
@@ -198,7 +197,6 @@ fn fault_smoke(scale: &ExperimentScale) {
         "incremental A^s diverged from the full rebuild",
     );
     table.print();
-    let _ = std::fs::remove_dir_all(&state_dir);
 }
 
 fn repair_bench(scale: &ExperimentScale) {

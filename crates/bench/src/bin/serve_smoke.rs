@@ -24,6 +24,7 @@ use std::time::{Duration, Instant};
 
 use sarn_bench::ExperimentScale;
 use sarn_core::train;
+use sarn_durable::TempDir;
 use sarn_roadnet::City;
 use sarn_serve::{Deadline, EmbeddingStore, LoadFault, ServeConfig, ServeError, ServeState};
 use sarn_tensor::IoError;
@@ -62,9 +63,8 @@ fn main() {
     );
     let trained = train(&net, &cfg);
 
-    let dir = std::env::temp_dir().join(format!("sarn_serve_smoke_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("creating the artifact directory");
-    let path = dir.join("embeddings.emb");
+    let dir = TempDir::new("serve-smoke").expect("creating the artifact directory");
+    let path = dir.path().join("embeddings.emb");
     trained.embeddings.save(&path).expect("saving the artifact");
 
     let serve_cfg = ServeConfig::from_env().expect("SARN_SERVE_* knobs");
@@ -203,5 +203,4 @@ fn main() {
         health.reloads_failed,
         health.state
     );
-    std::fs::remove_dir_all(&dir).ok();
 }

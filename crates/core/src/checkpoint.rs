@@ -34,16 +34,19 @@
 //! - **QUEU** — presence flag, then dim/capacity/cell count and every cell's
 //!   FIFO entries front-first (`u32` segment id + `f32` embedding).
 //!
-//! Writes go to a `.tmp` sibling that is fsynced and atomically renamed
-//! over the target, so a crash mid-save never clobbers the previous
-//! checkpoint. Loads verify magic, version, section framing, and per-section
+//! Each section is a [`sarn_durable`] frame behind its tag, and saves go
+//! through [`sarn_durable::atomic_write`] (DESIGN.md §8, "Durable
+//! writes"), so a crash mid-save never clobbers the previous checkpoint.
+//! Loads verify magic, version, section framing, and per-section
 //! checksums, returning a typed [`CheckpointError`] naming the corrupt
 //! section — never panicking and never silently accepting damaged state.
 
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
+
+use sarn_durable::{atomic_write, decode_frame, encode_frame, FrameError, FRAME_HEADER_LEN};
 
 use sarn_tensor::io::{
     read_str_from, read_tensor_from, read_u32_from, read_u64_from, write_str_to, write_tensor_to,
@@ -287,23 +290,13 @@ impl Checkpoint {
         })
     }
 
-    /// Atomically writes the checkpoint: the bytes go to a `.tmp` sibling,
-    /// are fsynced, and renamed over `path`. A crash at any point leaves
-    /// either the previous file or the new one — never a torn mix.
+    /// Writes the checkpoint with [`sarn_durable::atomic_write`]: a crash
+    /// at any point leaves either the previous file or the new one — never
+    /// a torn mix.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
         let t0 = sarn_obs::enabled().then(std::time::Instant::now);
-        let path = path.as_ref();
-        let tmp = tmp_sibling(path);
         let bytes = self.to_bytes();
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        if let Err(e) = fs::rename(&tmp, path) {
-            fs::remove_file(&tmp).ok();
-            return Err(e.into());
-        }
+        atomic_write(path.as_ref(), &bytes)?;
         if let Some(t0) = t0 {
             record_io(
                 t0,
@@ -352,32 +345,22 @@ impl Checkpoint {
         if version != FORMAT_VERSION {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
+        // META's tag and frame header, then its payload, read as `Frames`
+        // reads it from a whole file.
         let name = SECTION_NAMES[0];
-        let mut sh = [0u8; 16];
-        read_exact_or(&mut f, &mut sh, name)?;
-        if &sh[..4] != SECTION_TAGS[0] {
-            return Err(corrupt(
-                name,
-                format!(
-                    "unexpected section tag {:?}",
-                    String::from_utf8_lossy(&sh[..4])
-                ),
-            ));
-        }
-        let len = u64::from_le_bytes(sh[4..12].try_into().expect("8-byte slice"));
-        let crc = u32::from_le_bytes(sh[12..16].try_into().expect("4-byte slice"));
+        let mut meta = vec![0u8; 4 + FRAME_HEADER_LEN];
+        read_exact_or(&mut f, &mut meta, name)?;
+        check_tag(0, &meta[..4])?;
+        let len = u64::from_le_bytes(meta[4..12].try_into().expect("8-byte slice"));
         // META holds scalars plus the loss history and shuffle order — a
         // length beyond this bound cannot be a sane section and must not
         // drive a giant allocation.
         if len > (1 << 28) {
             return Err(corrupt(name, format!("implausible META length {len}")));
         }
-        let mut payload = vec![0u8; len as usize];
-        read_exact_or(&mut f, &mut payload, name)?;
-        if crc32(&payload) != crc {
-            return Err(corrupt(name, "checksum mismatch"));
-        }
-        decode_meta(&payload)
+        meta.resize(meta.len() + len as usize, 0);
+        read_exact_or(&mut f, &mut meta[4 + FRAME_HEADER_LEN..], name)?;
+        decode_meta(Frames { buf: &meta, pos: 0 }.section(0)?)
     }
 }
 
@@ -421,13 +404,8 @@ fn record_io(t0: std::time::Instant, bytes: usize, epoch: usize, stem: &str, is_
     });
 }
 
-/// The `.tmp` sibling a [`Checkpoint::save`] stages its bytes in (same
-/// directory, so the final rename stays atomic).
-pub fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
+/// The `.tmp` sibling a [`Checkpoint::save`] stages its bytes in.
+pub use sarn_durable::tmp_sibling;
 
 /// Canonical file name of the checkpoint for `fingerprint` at `epoch`.
 pub fn checkpoint_file_name(fingerprint: u64, epoch: usize) -> String {
@@ -486,9 +464,7 @@ pub fn prune_checkpoints(dir: &Path, fingerprint: u64, keep: usize) -> io::Resul
 
 fn frame(out: &mut Vec<u8>, tag: &[u8; 4], payload: &[u8]) {
     out.extend_from_slice(tag);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    encode_frame(out, payload);
 }
 
 struct Frames<'a> {
@@ -499,36 +475,28 @@ struct Frames<'a> {
 impl<'a> Frames<'a> {
     fn section(&mut self, idx: usize) -> Result<&'a [u8], CheckpointError> {
         let name = SECTION_NAMES[idx];
-        let header_end = self.pos + 16;
-        if header_end > self.buf.len() {
+        let body = self.pos + 4;
+        if body + FRAME_HEADER_LEN > self.buf.len() {
             return Err(CheckpointError::Truncated { section: name });
         }
-        let header = &self.buf[self.pos..header_end];
-        if &header[..4] != SECTION_TAGS[idx] {
-            return Err(CheckpointError::Corrupt {
-                section: name,
-                detail: format!(
-                    "unexpected section tag {:?}",
-                    String::from_utf8_lossy(&header[..4])
-                ),
-            });
-        }
-        let len = u64::from_le_bytes(header[4..12].try_into().expect("8-byte slice")) as usize;
-        let crc = u32::from_le_bytes(header[12..16].try_into().expect("4-byte slice"));
-        let payload_end = match header_end.checked_add(len) {
-            Some(end) if end <= self.buf.len() => end,
-            _ => return Err(CheckpointError::Truncated { section: name }),
-        };
-        let payload = &self.buf[header_end..payload_end];
-        if crc32(payload) != crc {
-            return Err(CheckpointError::Corrupt {
-                section: name,
-                detail: "checksum mismatch".to_string(),
-            });
-        }
-        self.pos = payload_end;
+        check_tag(idx, &self.buf[self.pos..body])?;
+        let (payload, end) = decode_frame(self.buf, body).map_err(|e| match e {
+            FrameError::Truncated { .. } => CheckpointError::Truncated { section: name },
+            FrameError::CrcMismatch { .. } => corrupt(name, "checksum mismatch"),
+        })?;
+        self.pos = end;
         Ok(payload)
     }
+}
+
+fn check_tag(idx: usize, tag: &[u8]) -> Result<(), CheckpointError> {
+    if tag == SECTION_TAGS[idx] {
+        return Ok(());
+    }
+    Err(corrupt(
+        SECTION_NAMES[idx],
+        format!("unexpected section tag {:?}", String::from_utf8_lossy(tag)),
+    ))
 }
 
 fn corrupt(section: &'static str, e: impl fmt::Display) -> CheckpointError {
@@ -703,56 +671,10 @@ fn decode_queues(payload: &[u8]) -> Result<Option<QueueState>, CheckpointError> 
     }
 }
 
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected)
-// ---------------------------------------------------------------------------
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-/// CRC-32 (IEEE) of a byte slice — the per-section checksum.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    fn tmp_dir(name: &str) -> PathBuf {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let d = std::env::temp_dir().join(format!(
-            "sarn_ckpt_{name}_{}_{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use sarn_durable::TempDir;
 
     fn sample_checkpoint() -> Checkpoint {
         let mut store = ParamStore::new();
@@ -786,12 +708,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_the_standard_check_value() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn bytes_roundtrip_exactly() {
         let ckpt = sample_checkpoint();
         let bytes = ckpt.to_bytes();
@@ -805,13 +721,12 @@ mod tests {
 
     #[test]
     fn file_roundtrip_is_atomic_and_leaves_no_tmp() {
-        let dir = tmp_dir("roundtrip");
-        let path = dir.join(checkpoint_file_name(1, 5));
+        let dir = TempDir::new("ckpt-roundtrip").unwrap();
+        let path = dir.path().join(checkpoint_file_name(1, 5));
         let ckpt = sample_checkpoint();
         ckpt.save(&path).unwrap();
         assert!(!tmp_sibling(&path).exists());
         assert_eq!(Checkpoint::load(&path).unwrap(), ckpt);
-        fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -826,40 +741,41 @@ mod tests {
 
     #[test]
     fn latest_and_prune_respect_fingerprints() {
-        let dir = tmp_dir("retention");
+        let dir = TempDir::new("ckpt-retention").unwrap();
         let ckpt = sample_checkpoint();
         for epoch in [1, 2, 3, 4] {
-            ckpt.save(dir.join(checkpoint_file_name(0xA, epoch)))
+            ckpt.save(dir.path().join(checkpoint_file_name(0xA, epoch)))
                 .unwrap();
         }
-        ckpt.save(dir.join(checkpoint_file_name(0xB, 9))).unwrap();
+        ckpt.save(dir.path().join(checkpoint_file_name(0xB, 9)))
+            .unwrap();
         // A staged tmp file (crash leftover) is ignored.
         fs::write(
-            dir.join("ckpt-000000000000000a-ep000099.sarnckpt.tmp"),
+            dir.path()
+                .join("ckpt-000000000000000a-ep000099.sarnckpt.tmp"),
             b"junk",
         )
         .unwrap();
 
         assert_eq!(
-            latest_checkpoint(&dir, Some(0xA)),
-            Some(dir.join(checkpoint_file_name(0xA, 4)))
+            latest_checkpoint(dir.path(), Some(0xA)),
+            Some(dir.path().join(checkpoint_file_name(0xA, 4)))
         );
         assert_eq!(
-            latest_checkpoint(&dir, None),
-            Some(dir.join(checkpoint_file_name(0xB, 9)))
+            latest_checkpoint(dir.path(), None),
+            Some(dir.path().join(checkpoint_file_name(0xB, 9)))
         );
-        prune_checkpoints(&dir, 0xA, 2).unwrap();
-        let left = list_checkpoints(&dir, Some(0xA));
+        prune_checkpoints(dir.path(), 0xA, 2).unwrap();
+        let left = list_checkpoints(dir.path(), Some(0xA));
         assert_eq!(left.iter().map(|(e, _)| *e).collect::<Vec<_>>(), vec![3, 4]);
         // The other fingerprint's checkpoint survives.
-        assert!(latest_checkpoint(&dir, Some(0xB)).is_some());
-        fs::remove_dir_all(dir).ok();
+        assert!(latest_checkpoint(dir.path(), Some(0xB)).is_some());
     }
 
     #[test]
     fn probe_header_reads_meta_without_the_tensor_sections() {
-        let dir = tmp_dir("probe");
-        let path = dir.join(checkpoint_file_name(0xC0FFEE, 3));
+        let dir = TempDir::new("ckpt-probe").unwrap();
+        let path = dir.path().join(checkpoint_file_name(0xC0FFEE, 3));
         let ckpt = sample_checkpoint();
         ckpt.save(&path).unwrap();
         // The probe's meta is the full load's meta.
@@ -868,26 +784,25 @@ mod tests {
         // proof it never touches the tensor payloads.
         let bytes = ckpt.to_bytes();
         let meta_len = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-        let beheaded = dir.join("beheaded.sarnckpt");
+        let beheaded = dir.path().join("beheaded.sarnckpt");
         fs::write(&beheaded, &bytes[..12 + 16 + meta_len]).unwrap();
         assert_eq!(Checkpoint::probe_header(&beheaded).unwrap(), ckpt.meta);
-        fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn probe_header_rejects_damage_with_typed_errors() {
-        let dir = tmp_dir("probe_bad");
+        let dir = TempDir::new("ckpt-probe-bad").unwrap();
         let ckpt = sample_checkpoint();
         let bytes = ckpt.to_bytes();
 
-        let garbage = dir.join("garbage.sarnckpt");
+        let garbage = dir.path().join("garbage.sarnckpt");
         fs::write(&garbage, b"not a checkpoint at all").unwrap();
         assert!(matches!(
             Checkpoint::probe_header(&garbage),
             Err(CheckpointError::BadMagic)
         ));
 
-        let truncated = dir.join("truncated.sarnckpt");
+        let truncated = dir.path().join("truncated.sarnckpt");
         fs::write(&truncated, &bytes[..20]).unwrap();
         assert!(matches!(
             Checkpoint::probe_header(&truncated),
@@ -896,7 +811,7 @@ mod tests {
 
         let mut flipped = bytes.clone();
         flipped[30] ^= 0xFF; // inside the META payload
-        let corrupt = dir.join("corrupt.sarnckpt");
+        let corrupt = dir.path().join("corrupt.sarnckpt");
         fs::write(&corrupt, &flipped).unwrap();
         assert!(matches!(
             Checkpoint::probe_header(&corrupt),
@@ -908,13 +823,12 @@ mod tests {
 
         let mut versioned = bytes;
         versioned[8..12].copy_from_slice(&99u32.to_le_bytes());
-        let newer = dir.join("newer.sarnckpt");
+        let newer = dir.path().join("newer.sarnckpt");
         fs::write(&newer, &versioned).unwrap();
         assert!(matches!(
             Checkpoint::probe_header(&newer),
             Err(CheckpointError::UnsupportedVersion(99))
         ));
-        fs::remove_dir_all(dir).ok();
     }
 
     #[test]

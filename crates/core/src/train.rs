@@ -855,6 +855,7 @@ mod tests {
     use super::*;
     use crate::config::SarnVariant;
     use rand::seq::SliceRandom;
+    use sarn_durable::TempDir;
     use sarn_roadnet::{City, SynthConfig};
 
     fn tiny_net() -> RoadNetwork {
@@ -1162,16 +1163,14 @@ mod tests {
         let mut cfg = SarnConfig::tiny();
         cfg.max_epochs = 2;
         let trained = train(&net, &cfg);
-        let stem = std::env::temp_dir().join(format!("sarn_ckpt_{}", std::process::id()));
+        let dir = TempDir::new("train-save").unwrap();
+        let stem = dir.path().join("model");
         trained.save(&stem).unwrap();
         // A freshly initialized model diverges; loading restores it.
         let mut fresh = train(&net, &cfg.clone().with_seed(777));
         assert_ne!(fresh.embeddings.data(), trained.embeddings.data());
         fresh.load_into(&stem).unwrap();
         assert_eq!(fresh.embeddings.data(), trained.embeddings.data());
-        for ext in ["emb", "query", "momentum"] {
-            std::fs::remove_file(stem.with_extension(ext)).ok();
-        }
     }
 
     #[test]
@@ -1181,7 +1180,8 @@ mod tests {
         let mut cfg = SarnConfig::tiny();
         cfg.max_epochs = 1;
         let trained = train(&net, &cfg);
-        let stem = std::env::temp_dir().join(format!("sarn_mismatch_{}", std::process::id()));
+        let dir = TempDir::new("train-mismatch").unwrap();
+        let stem = dir.path().join("model");
         trained.save(&stem).unwrap();
 
         // A model with a different width has the same parameter names but
@@ -1205,24 +1205,17 @@ mod tests {
             .map(|id| other.model.store.value(id).data().to_vec())
             .collect();
         assert_eq!(before, after, "failed load must not mutate the store");
-        for ext in ["emb", "query", "momentum"] {
-            std::fs::remove_file(stem.with_extension(ext)).ok();
-        }
     }
 
     #[test]
     fn warm_start_seeds_a_fresh_run_across_a_network_edit() {
         let _knobs = crate::test_knobs();
         let net = tiny_net();
-        let dir = std::env::temp_dir().join(format!(
-            "sarn_warm_{}_{:p}",
-            std::process::id(),
-            &net as *const _
-        ));
-        let mut cfg = SarnConfig::tiny().with_checkpointing(&dir, 1);
+        let dir = TempDir::new("train-warm").unwrap();
+        let mut cfg = SarnConfig::tiny().with_checkpointing(dir.path(), 1);
         cfg.max_epochs = 2;
         train(&net, &cfg);
-        let latest = checkpoint::latest_checkpoint(&dir, Some(cfg.fingerprint())).unwrap();
+        let latest = checkpoint::latest_checkpoint(dir.path(), Some(cfg.fingerprint())).unwrap();
 
         // Edit the network (append a segment), then warm-start on it: the
         // vocab tables may have grown, so this exercises the prefix path.
@@ -1250,22 +1243,17 @@ mod tests {
         })
         .unwrap();
         assert_ne!(warm.embeddings.data(), cold.embeddings.data());
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn warm_start_rejects_incompatibility_with_typed_errors() {
         let _knobs = crate::test_knobs();
         let net = tiny_net();
-        let dir = std::env::temp_dir().join(format!(
-            "sarn_warmbad_{}_{:p}",
-            std::process::id(),
-            &net as *const _
-        ));
-        let mut cfg = SarnConfig::tiny().with_checkpointing(&dir, 1);
+        let dir = TempDir::new("train-warmbad").unwrap();
+        let mut cfg = SarnConfig::tiny().with_checkpointing(dir.path(), 1);
         cfg.max_epochs = 1;
         train(&net, &cfg);
-        let latest = checkpoint::latest_checkpoint(&dir, Some(cfg.fingerprint())).unwrap();
+        let latest = checkpoint::latest_checkpoint(dir.path(), Some(cfg.fingerprint())).unwrap();
 
         // A different seed is a different fingerprint: probe rejects it.
         let other = cfg.clone().with_seed(99).with_warm_start_from(&latest);
@@ -1286,7 +1274,7 @@ mod tests {
 
         // Garbage file: the probe's typed error surfaces, not a mid-load
         // failure.
-        let junk = dir.join("junk.sarnckpt");
+        let junk = dir.path().join("junk.sarnckpt");
         std::fs::write(&junk, b"???").unwrap();
         let mut junk_cfg = cfg.clone().with_warm_start_from(&junk);
         junk_cfg.checkpoint_every = 0;
@@ -1296,7 +1284,6 @@ mod tests {
                 CheckpointError::BadMagic | CheckpointError::Truncated { .. }
             ))
         ));
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

@@ -12,8 +12,8 @@ use sarn_core::checkpoint::{
     tmp_sibling, Checkpoint, CheckpointError, CheckpointMeta, OptimState, ParamStoreSnapshot,
     QueueState, SECTION_NAMES,
 };
+use sarn_durable::TempDir;
 use sarn_tensor::Tensor;
-use std::path::PathBuf;
 
 /// A small but fully populated checkpoint: every section has a non-empty
 /// payload, so every section is a corruption target.
@@ -190,18 +190,13 @@ fn crc_header_flip_is_caught() {
     }
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sarn_faults_{}_{}", std::process::id(), tag));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 #[test]
 fn crash_between_write_and_rename_keeps_the_previous_checkpoint() {
-    let dir = scratch_dir("crash");
+    let dir = TempDir::new("faults-crash").unwrap();
     let ckpt = sample();
-    let path = dir.join(checkpoint::checkpoint_file_name(ckpt.meta.fingerprint, 3));
+    let path = dir
+        .path()
+        .join(checkpoint::checkpoint_file_name(ckpt.meta.fingerprint, 3));
     ckpt.save(&path).unwrap();
 
     // Simulate a crash mid-save of the next snapshot: the staging `.tmp`
@@ -213,14 +208,13 @@ fn crash_between_write_and_rename_keeps_the_previous_checkpoint() {
     let reloaded = Checkpoint::load(&path).unwrap();
     assert_eq!(reloaded, ckpt);
     // …and directory scans never mistake the staging file for a checkpoint.
-    let found = checkpoint::list_checkpoints(&dir, None);
+    let found = checkpoint::list_checkpoints(dir.path(), None);
     assert_eq!(found.len(), 1);
     assert_eq!(found[0].1, path);
     assert_eq!(
-        checkpoint::latest_checkpoint(&dir, Some(ckpt.meta.fingerprint)),
+        checkpoint::latest_checkpoint(dir.path(), Some(ckpt.meta.fingerprint)),
         Some(path)
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

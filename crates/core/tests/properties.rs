@@ -10,6 +10,7 @@ use sarn_core::{
     pairwise_similarity, weighted_sample_without_replacement, AugmentConfig, Augmenter,
     SpatialSimilarity, SpatialSimilarityConfig,
 };
+use sarn_durable::TempDir;
 use sarn_geo::Point;
 use sarn_roadnet::{City, HighwayClass, RoadNetwork, RoadSegment, SynthConfig};
 use sarn_tensor::Tensor;
@@ -323,13 +324,10 @@ proptest! {
         prop_assert!(parsed == ckpt, "round-tripped checkpoint differs");
         prop_assert_eq!(parsed.to_bytes(), bytes, "re-serialization differs");
         // …and so is the atomic save → load path.
-        let path = std::env::temp_dir().join(format!(
-            "sarn_prop_ckpt_{}_{seed:016x}.sarnckpt",
-            std::process::id()
-        ));
+        let dir = TempDir::new("prop-ckpt").unwrap();
+        let path = dir.path().join(format!("{seed:016x}.sarnckpt"));
         ckpt.save(&path).unwrap();
         let reloaded = Checkpoint::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
         prop_assert!(reloaded == ckpt, "file round-trip differs");
     }
 }

@@ -1,11 +1,13 @@
 //! Exporters: Prometheus text exposition and a JSON snapshot, plus the
-//! JSONL event journal, all written via atomic tmp-sibling + rename (the
-//! same crash-safety discipline as the checkpoint subsystem) so a
-//! concurrent scraper never reads a torn file.
+//! JSONL event journal, all written with [`sarn_durable::atomic_write`]
+//! (DESIGN.md §8, "Durable writes") so a concurrent scraper never reads a
+//! torn file.
 
-use std::fs::{self, File};
-use std::io::{self, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
+
+use sarn_durable::atomic_write;
 
 use crate::journal::{json_f64, json_string, EventJournal};
 use crate::registry::{Registry, Snapshot};
@@ -106,26 +108,6 @@ pub fn json_text(snap: &Snapshot) -> String {
     out
 }
 
-/// Writes `contents` to `path` atomically: bytes go to a `.tmp` sibling
-/// in the same directory, are fsynced, and renamed over `path` — a
-/// reader never observes a partial file, a crash leaves either the old
-/// file or the new one.
-pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    let tmp = path.with_file_name(name);
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(contents.as_bytes())?;
-        f.sync_all()?;
-    }
-    if let Err(e) = fs::rename(&tmp, path) {
-        fs::remove_file(&tmp).ok();
-        return Err(e);
-    }
-    Ok(())
-}
-
 /// Exports the global registry and journal into `dir` (created if
 /// missing): `metrics.prom`, `metrics.json`, and `events.jsonl`, each
 /// written atomically. Returns the three paths.
@@ -135,9 +117,9 @@ pub fn export_all(dir: &Path) -> io::Result<[PathBuf; 3]> {
     let prom = dir.join(PROMETHEUS_FILE);
     let json = dir.join(JSON_FILE);
     let events = dir.join(EVENTS_FILE);
-    write_atomic(&prom, &prometheus_text(&snap))?;
-    write_atomic(&json, &json_text(&snap))?;
-    write_atomic(&events, &EventJournal::global().to_jsonl())?;
+    atomic_write(&prom, prometheus_text(&snap).as_bytes())?;
+    atomic_write(&json, json_text(&snap).as_bytes())?;
+    atomic_write(&events, EventJournal::global().to_jsonl().as_bytes())?;
     Ok([prom, json, events])
 }
 
@@ -427,19 +409,5 @@ mod tests {
         assert!(validate_json("{\"a\":}").is_err());
         assert!(validate_json("[1,2,]").is_err());
         validate_json(" {\"a\": [1, -2.5e3, true, null, \"x\\n\"]} ").expect("valid doc");
-    }
-
-    #[test]
-    fn write_atomic_leaves_no_tmp_sibling() {
-        let dir = std::env::temp_dir().join(format!("sarn_obs_wa_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("out.json");
-        write_atomic(&path, "{\"ok\":true}").expect("write");
-        assert_eq!(
-            std::fs::read_to_string(&path).expect("read"),
-            "{\"ok\":true}"
-        );
-        assert!(!dir.join("out.json.tmp").exists());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,6 +1,6 @@
 //! # sarn-obs
 //!
-//! Zero-dependency telemetry for the SARN workspace: the observability
+//! Std-only telemetry for the SARN workspace: the observability
 //! substrate behind training, the watchdog, checkpoints, and serving
 //! (DESIGN.md §11).
 //!
@@ -17,7 +17,7 @@
 //!   checkpoint writes, reload outcomes, sheds, bench rows),
 //!   drainable to JSONL.
 //! - **Exporters.** Prometheus text exposition and a JSON snapshot,
-//!   written atomically (tmp sibling + rename — never a torn file), on
+//!   written with `sarn_durable::atomic_write` (never a torn file), on
 //!   demand or every N epochs via `SarnConfig::obs` / the `SARN_OBS_*`
 //!   knobs ([`ObsConfig`]).
 //!
@@ -48,8 +48,8 @@ mod span;
 
 pub use config::ObsConfig;
 pub use export::{
-    export_all, json_text, parse_prometheus, prometheus_text, validate_json, write_atomic,
-    PromSample, EVENTS_FILE, JSON_FILE, PROMETHEUS_FILE,
+    export_all, json_text, parse_prometheus, prometheus_text, validate_json, PromSample,
+    EVENTS_FILE, JSON_FILE, PROMETHEUS_FILE,
 };
 pub use journal::{Event, EventJournal, TimedEvent, DEFAULT_JOURNAL_CAPACITY};
 pub use metrics::{latency_boundaries, magnitude_boundaries, Counter, Gauge, Histogram};

@@ -4,24 +4,19 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use sarn_durable::TempDir;
 use sarn_obs::{export_all, parse_prometheus, validate_json, Registry, JSON_FILE, PROMETHEUS_FILE};
-
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("sarn_obs_torn_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 #[test]
 fn concurrent_reads_never_see_a_torn_export() {
     sarn_obs::set_enabled(true);
     let c = Registry::global().counter("obs_torn_writes_total");
     let h = Registry::global().histogram("obs_torn_seconds");
-    let dir = scratch_dir("rw");
+    let dir = TempDir::new("obs-torn-rw").expect("temp dir");
     let stop = &AtomicBool::new(false);
 
     std::thread::scope(|s| {
-        let reader_dir = dir.clone();
+        let reader_dir = dir.path();
         let reader = s.spawn(move || {
             let mut json_reads = 0u32;
             let mut prom_reads = 0u32;
@@ -42,7 +37,7 @@ fn concurrent_reads_never_see_a_torn_export() {
         for i in 0..200 {
             c.inc();
             h.observe(i as f64 * 1e-4);
-            export_all(&dir).expect("export");
+            export_all(dir.path()).expect("export");
         }
         stop.store(true, Ordering::Relaxed);
         let (json_reads, prom_reads) = reader.join().expect("reader thread");
@@ -55,12 +50,11 @@ fn concurrent_reads_never_see_a_torn_export() {
     });
 
     // No temporary sibling files left behind.
-    for entry in std::fs::read_dir(&dir).expect("export dir") {
+    for entry in std::fs::read_dir(dir.path()).expect("export dir") {
         let name = entry.expect("dir entry").file_name();
         let name = name.to_string_lossy().into_owned();
         assert!(!name.contains(".tmp"), "leftover temp file: {name}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -69,15 +63,14 @@ fn exports_parse_and_roundtrip_key_series() {
     Registry::global()
         .counter("obs_torn_roundtrip_total")
         .add(3);
-    let dir = scratch_dir("roundtrip");
-    export_all(&dir).expect("export");
-    let prom = std::fs::read_to_string(dir.join(PROMETHEUS_FILE)).expect("prom file");
+    let dir = TempDir::new("obs-torn-roundtrip").expect("temp dir");
+    export_all(dir.path()).expect("export");
+    let prom = std::fs::read_to_string(dir.path().join(PROMETHEUS_FILE)).expect("prom file");
     let samples = parse_prometheus(&prom).expect("parse prom");
     assert!(samples
         .iter()
         .any(|s| s.name == "obs_torn_roundtrip_total" && s.value >= 3.0));
-    let json = std::fs::read_to_string(dir.join(JSON_FILE)).expect("json file");
+    let json = std::fs::read_to_string(dir.path().join(JSON_FILE)).expect("json file");
     validate_json(&json).expect("valid json");
     assert!(json.contains("obs_torn_roundtrip_total"));
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,10 +3,10 @@
 //! One tiny CRC-framed file (`pipeline.cursor`, magic `SARNCRSR`)
 //! records how far the pipeline has durably progressed: how many batches
 //! completed end-to-end, which stage the in-flight batch last finished,
-//! and the last generation the serve store admitted. It is rewritten
-//! atomically (tmp + rename, the checkpoint discipline) after **every**
-//! stage transition, so a killed pipeline resumes exactly where durable
-//! state allows:
+//! and the last generation the serve store admitted. It is rewritten with
+//! [`sarn_durable::atomic_write`] (DESIGN.md §8, "Durable writes") after
+//! **every** stage transition, so a killed pipeline resumes exactly where
+//! durable state allows:
 //!
 //! - completed batches are replayed deterministically (apply + repair
 //!   only — their retrain artifacts are already on disk);
@@ -16,10 +16,10 @@
 //!   nothing it did was durable, so nothing is double-applied.
 
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
-use sarn_core::checkpoint::crc32;
+use sarn_durable::crc32;
 
 const MAGIC: &[u8; 8] = b"SARNCRSR";
 const FORMAT_VERSION: u32 = 1;
@@ -75,7 +75,8 @@ pub enum CursorError {
     Truncated,
     /// Unknown format version.
     UnsupportedVersion(u32),
-    /// CRC mismatch or an invalid stage byte.
+    /// File longer than the fixed frame, CRC mismatch, or an invalid
+    /// stage byte.
     Corrupt(String),
 }
 
@@ -127,18 +128,11 @@ impl Cursor {
         out
     }
 
-    /// Atomically persists the cursor: write a tmp sibling, fsync, rename.
-    /// A crash at any point leaves either the old cursor or the new one —
-    /// never a torn frame (and a torn tmp is caught by the CRC anyway).
+    /// Persists the cursor with [`sarn_durable::atomic_write`]. A crash at
+    /// any point leaves either the old cursor or the new one — never a
+    /// torn frame (and a torn tmp is caught by the CRC anyway).
     pub fn save(&self, path: &Path) -> Result<(), CursorError> {
-        let tmp = sarn_core::checkpoint::tmp_sibling(path);
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&self.encode())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)?;
-        Ok(())
+        Ok(sarn_durable::atomic_write(path, &self.encode())?)
     }
 
     /// Loads and verifies a cursor file.
@@ -150,8 +144,14 @@ impl Cursor {
         if &bytes[..8] != MAGIC {
             return Err(CursorError::BadMagic);
         }
-        if bytes.len() != FILE_LEN {
+        if bytes.len() < FILE_LEN {
             return Err(CursorError::Truncated);
+        }
+        if bytes.len() > FILE_LEN {
+            return Err(CursorError::Corrupt(format!(
+                "file is {} bytes, the frame is {FILE_LEN}",
+                bytes.len()
+            )));
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4-byte slice"));
         if version != FORMAT_VERSION {
@@ -185,15 +185,13 @@ impl Cursor {
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("sarn-cursor-{name}-{}", std::process::id()));
-        fs::create_dir_all(&dir).expect("tmp dir");
-        dir.join("pipeline.cursor")
-    }
+    use sarn_durable::TempDir;
 
     #[test]
     fn round_trips_every_stage() {
-        let path = tmp("roundtrip");
+        let dir = TempDir::new("cursor-roundtrip").expect("temp dir");
+        let path = dir.path().join("pipeline.cursor");
+        let mut files = Vec::new();
         for inflight in [
             None,
             Some(Stage::Applied),
@@ -208,12 +206,16 @@ mod tests {
             };
             c.save(&path).expect("save");
             assert_eq!(Cursor::load(&path).expect("load"), c);
+            files.extend(fs::read(&path).expect("read"));
         }
+        // Byte pin of the frame: length and CRC-32 of the five files.
+        assert_eq!((files.len(), crc32(&files)), (145, 0x732E_882B));
     }
 
     #[test]
     fn damage_is_typed() {
-        let path = tmp("damage");
+        let dir = TempDir::new("cursor-damage").expect("temp dir");
+        let path = dir.path().join("pipeline.cursor");
         let c = Cursor {
             completed: 3,
             inflight: Some(Stage::Exported),
@@ -227,6 +229,11 @@ mod tests {
 
         fs::write(&path, &clean[..10]).expect("write");
         assert!(matches!(Cursor::load(&path), Err(CursorError::Truncated)));
+
+        // One byte too many is damage, not a truncation, and says so.
+        fs::write(&path, [&clean[..], &[0]].concat()).expect("write");
+        assert!(matches!(Cursor::load(&path),
+            Err(CursorError::Corrupt(why)) if why == "file is 30 bytes, the frame is 29"));
 
         let mut flipped = clean.clone();
         flipped[13] ^= 0xFF;

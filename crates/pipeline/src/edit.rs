@@ -4,7 +4,7 @@
 //! every record in a batch decodes, validates, and applies, or none of
 //! them touch the live network. The encoding is deliberately in the
 //! checkpoint file's mold — magic, version, length-prefixed records, and
-//! a CRC32 trailer (shared [`sarn_core::checkpoint::crc32`]) — so a
+//! a CRC32 trailer (the shared [`sarn_durable::crc32`]) — so a
 //! truncated or bit-flipped batch fails with a typed [`EditError`]
 //! *before* any state changes.
 //!
@@ -28,6 +28,7 @@
 //! batch would be ambiguous. [`crate::LiveNetwork`] owns the key ↔ index
 //! maps.
 
+use sarn_durable::crc32;
 use sarn_geo::Point;
 use sarn_roadnet::HighwayClass;
 
@@ -299,7 +300,7 @@ impl EditBatch {
                 }
             }
         }
-        let crc = sarn_core::checkpoint::crc32(&out[MAGIC.len()..]);
+        let crc = crc32(&out[MAGIC.len()..]);
         out.extend_from_slice(&crc.to_le_bytes());
         out
     }
@@ -325,7 +326,7 @@ impl EditBatch {
         }
         let body = &bytes[MAGIC.len()..bytes.len() - 4];
         let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4-byte slice"));
-        let computed = sarn_core::checkpoint::crc32(body);
+        let computed = crc32(body);
         if computed != stored {
             return Err(EditError::Corrupt { computed, stored });
         }
@@ -441,8 +442,11 @@ mod tests {
     #[test]
     fn round_trips_every_edit_kind() {
         let batch = sample_batch();
-        let decoded = EditBatch::decode(&batch.encode()).expect("decode");
+        let bytes = batch.encode();
+        let decoded = EditBatch::decode(&bytes).expect("decode");
         assert_eq!(decoded, batch);
+        // Byte pin of the wire format: length and CRC-32 of this fixed batch.
+        assert_eq!((bytes.len(), crc32(&bytes)), (113, 0xC14F_E500));
     }
 
     #[test]
@@ -470,7 +474,7 @@ mod tests {
         let mut bytes = sample_batch().encode();
         bytes[8] = 9;
         let body_end = bytes.len() - 4;
-        let crc = sarn_core::checkpoint::crc32(&bytes[8..body_end]);
+        let crc = crc32(&bytes[8..body_end]);
         bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
         assert_eq!(
             EditBatch::decode(&bytes),
@@ -498,7 +502,7 @@ mod tests {
         // (not the CRC) are what fire.
         let resign = |mut bytes: Vec<u8>| -> Vec<u8> {
             let body_end = bytes.len() - 4;
-            let crc = sarn_core::checkpoint::crc32(&bytes[8..body_end]);
+            let crc = crc32(&bytes[8..body_end]);
             bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
             bytes
         };
@@ -537,7 +541,7 @@ mod tests {
         bytes.extend_from_slice(b"SARNEDIT");
         bytes.extend_from_slice(&1u32.to_le_bytes());
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        let crc = sarn_core::checkpoint::crc32(&bytes[8..]);
+        let crc = crc32(&bytes[8..]);
         bytes.extend_from_slice(&crc.to_le_bytes());
         assert_eq!(
             EditBatch::decode(&bytes),

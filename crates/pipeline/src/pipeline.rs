@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-use sarn_core::checkpoint::{latest_checkpoint, tmp_sibling, ParamStoreSnapshot};
+use sarn_core::checkpoint::{latest_checkpoint, ParamStoreSnapshot};
 use sarn_core::watchdog::{FaultKind, FaultSpec, TrainError};
 use sarn_core::{try_train, warm_start_apply, Augmenter, Checkpoint, SarnConfig, SarnModel};
 use sarn_roadnet::RoadNetwork;
@@ -644,52 +644,33 @@ impl Pipeline {
     }
 }
 
-/// Writes `embeddings` to `path` atomically: tmp sibling, optional
-/// injected tear, read-back validation pinning shape and finiteness,
-/// fsync of the tmp, rename. The tear is injected between write and
-/// validation, so the validator — not luck — is what keeps torn bytes
-/// from reaching the final path.
+/// Writes `embeddings` to `path` atomically: [`sarn_durable::stage`],
+/// optional injected tear, read-back validation pinning shape and
+/// finiteness, [`sarn_durable::publish`]. The tear is injected between
+/// staging and validation, so the validator — not luck — is what keeps
+/// torn bytes from reaching the final path.
 fn export_artifact(path: &Path, embeddings: &Tensor, tear: bool) -> Result<(), PipelineError> {
-    let tmp = tmp_sibling(path);
-    embeddings.save(&tmp)?;
+    let bytes = embeddings.to_bytes();
+    let tmp = sarn_durable::stage(path, &bytes).map_err(|source| PipelineError::Io {
+        context: "staging artifact",
+        source,
+    })?;
     if tear {
-        let len = fs::metadata(&tmp)
-            .map_err(|source| PipelineError::Io {
-                context: "statting artifact tmp",
-                source,
-            })?
-            .len();
-        let f = fs::OpenOptions::new()
+        fs::OpenOptions::new()
             .write(true)
             .open(&tmp)
+            .and_then(|f| f.set_len(bytes.len() as u64 / 2))
             .map_err(|source| PipelineError::Io {
-                context: "opening artifact tmp for tear",
+                context: "tearing artifact tmp",
                 source,
             })?;
-        f.set_len(len / 2).map_err(|source| PipelineError::Io {
-            context: "tearing artifact tmp",
-            source,
-        })?;
     }
     Tensor::load_validated(
         &tmp,
-        &TensorExpectation {
-            rows: Some(embeddings.rows()),
-            cols: Some(embeddings.cols()),
-            finite: true,
-        },
+        &TensorExpectation::embedding(embeddings.rows(), embeddings.cols()),
     )?;
-    fs::OpenOptions::new()
-        .write(true)
-        .open(&tmp)
-        .and_then(|f| f.sync_all())
-        .map_err(|source| PipelineError::Io {
-            context: "syncing artifact tmp",
-            source,
-        })?;
-    fs::rename(&tmp, path).map_err(|source| PipelineError::Io {
+    sarn_durable::publish(path).map_err(|source| PipelineError::Io {
         context: "publishing artifact",
         source,
-    })?;
-    Ok(())
+    })
 }

@@ -4,6 +4,7 @@
 use std::time::Duration;
 
 use sarn_core::{SarnConfig, SpatialJoin, SpatialSimilarity, SpatialSimilarityConfig};
+use sarn_durable::TempDir;
 use sarn_geo::Point;
 use sarn_pipeline::{
     Cursor, EditBatch, NetworkEdit, Pipeline, PipelineConfig, PipelineFault, PipelineFaultKind,
@@ -24,18 +25,13 @@ fn train_cfg(state_dir: &std::path::Path) -> SarnConfig {
     cfg
 }
 
-fn state_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("sarn-pipeline-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("state dir");
-    dir
-}
-
-fn pipeline_cfg(name: &str) -> PipelineConfig {
-    let dir = state_dir(name);
-    let mut cfg = PipelineConfig::new(train_cfg(&dir), ServeConfig::default(), dir);
+/// A config over a fresh state directory, which lives as long as the
+/// returned guard.
+fn pipeline_cfg(name: &str) -> (TempDir, PipelineConfig) {
+    let dir = TempDir::new(&format!("pipeline-{name}")).expect("state dir");
+    let mut cfg = PipelineConfig::new(train_cfg(dir.path()), ServeConfig::default(), dir.path());
     cfg.stage_backoff = Duration::from_millis(1);
-    cfg
+    (dir, cfg)
 }
 
 /// A batch adding one segment hanging off segment index `nb`, removing
@@ -77,7 +73,8 @@ fn assert_index_matches_rebuild(p: &Pipeline) {
 
 #[test]
 fn processes_batches_and_serves_monotone_generations() {
-    let mut p = Pipeline::new(pipeline_cfg("happy"), net()).expect("bootstrap");
+    let (_dir, cfg) = pipeline_cfg("happy");
+    let mut p = Pipeline::new(cfg, net()).expect("bootstrap");
     assert_eq!(p.generation(), 1);
     let store = p.front().store().expect("bootstrap store");
     assert_eq!(store.num_segments(), p.live().network().num_segments());
@@ -104,7 +101,7 @@ fn processes_batches_and_serves_monotone_generations() {
 
 #[test]
 fn every_fault_kind_is_absorbed_without_losing_a_generation() {
-    let mut cfg = pipeline_cfg("faults");
+    let (_dir, mut cfg) = pipeline_cfg("faults");
     cfg.faults = vec![
         PipelineFault {
             batch: 1,
@@ -148,7 +145,7 @@ fn every_fault_kind_is_absorbed_without_losing_a_generation() {
 
 #[test]
 fn mid_repair_crash_then_resume_reaches_the_same_state() {
-    let mut cfg = pipeline_cfg("crash");
+    let (_dir, mut cfg) = pipeline_cfg("crash");
     cfg.faults = vec![PipelineFault {
         batch: 2,
         kind: PipelineFaultKind::MidRepairCrash,
@@ -185,7 +182,7 @@ fn mid_repair_crash_then_resume_reaches_the_same_state() {
 
 #[test]
 fn sharded_front_serves_routed_queries_and_swaps_shards_in_place() {
-    let mut cfg = pipeline_cfg("sharded");
+    let (_dir, mut cfg) = pipeline_cfg("sharded");
     cfg.serve_shards = 4;
     cfg.faults = vec![PipelineFault {
         batch: 1,
@@ -225,7 +222,7 @@ fn sharded_front_serves_routed_queries_and_swaps_shards_in_place() {
 
 #[test]
 fn resume_after_export_skips_retraining_and_just_reloads() {
-    let cfg = pipeline_cfg("exported");
+    let (_dir, cfg) = pipeline_cfg("exported");
     let state_dir = cfg.state_dir.clone();
     let mut p = Pipeline::new(cfg.clone(), net()).expect("bootstrap");
     let b1 = mixed_batch(&p, 930);

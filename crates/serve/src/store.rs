@@ -999,14 +999,14 @@ pub(crate) fn index_sidecar_path(artifact: &Path) -> PathBuf {
 }
 
 /// CRC32 of the embedding matrix's little-endian f32 bytes — the
-/// checksum an index sidecar must match to be adopted. Shares the
-/// checkpoint CRC so the two framing disciplines agree.
+/// checksum an index sidecar must match to be adopted (the workspace's
+/// one [`sarn_durable::crc32`]).
 fn tensor_data_crc(t: &Tensor) -> u32 {
     let mut bytes = Vec::with_capacity(t.data().len() * 4);
     for v in t.data() {
         bytes.extend_from_slice(&v.to_le_bytes());
     }
-    sarn_core::checkpoint::crc32(&bytes)
+    sarn_durable::crc32(&bytes)
 }
 
 /// Builds the generation's HNSW index on a detached thread and

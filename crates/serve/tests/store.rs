@@ -4,6 +4,7 @@
 
 use std::time::Duration;
 
+use sarn_durable::TempDir;
 use sarn_serve::{Deadline, EmbeddingStore, LoadFault, ServeConfig, ServeError, ServeState};
 use sarn_tensor::{IoError, Tensor};
 
@@ -33,10 +34,6 @@ fn fast_cfg() -> ServeConfig {
 
 fn store(cfg: ServeConfig) -> EmbeddingStore {
     EmbeddingStore::new(N, D, cfg).expect("valid store")
-}
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("sarn_serve_{name}_{}", std::process::id()))
 }
 
 #[test]
@@ -95,7 +92,8 @@ fn admission_rejects_bad_artifacts_and_keeps_the_current_generation() {
 #[test]
 fn reload_failure_modes_all_fall_back_to_last_known_good() {
     let s = store(fast_cfg());
-    let path = tmp("fallback");
+    let dir = TempDir::new("serve-fallback").expect("temp dir");
+    let path = dir.path().join("fallback.emb");
     embeddings(1.0).save(&path).expect("writing gen 1");
     assert_eq!(s.reload(&path).expect("first reload"), 1);
     let baseline = s.embedding(3, Deadline::unbounded()).expect("baseline");
@@ -167,7 +165,6 @@ fn reload_failure_modes_all_fall_back_to_last_known_good() {
     assert_eq!(h.state, ServeState::Serving { generation: 2 });
     assert_eq!(h.consecutive_reload_failures, 0);
     assert!(h.last_reload_error.is_none());
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
@@ -175,7 +172,8 @@ fn bounded_retry_outlasts_transient_injected_faults() {
     let mut cfg = fast_cfg();
     cfg.reload_retries = 3;
     let s = store(cfg);
-    let path = tmp("transient");
+    let dir = TempDir::new("serve-transient").expect("temp dir");
+    let path = dir.path().join("transient.emb");
     embeddings(1.0).save(&path).expect("writing artifact");
 
     // Two injected failures, four attempts allowed: the reload succeeds.
@@ -201,7 +199,6 @@ fn bounded_retry_outlasts_transient_injected_faults() {
     assert_eq!(s.generation(), Some(1));
     s.inject_fault(None);
     assert_eq!(s.reload(&path).expect("clean after clearing"), 2);
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
@@ -216,7 +213,8 @@ fn deadlines_are_typed_and_slow_io_can_be_simulated() {
     s.knn(0, 5, Deadline::within(Duration::from_secs(60)))
         .expect("generous budget");
     // Injected slow IO delays a reload without failing it.
-    let path = tmp("slow");
+    let dir = TempDir::new("serve-slow").expect("temp dir");
+    let path = dir.path().join("slow.emb");
     embeddings(2.0).save(&path).expect("writing artifact");
     s.inject_fault(Some(LoadFault {
         fail_loads: 0,
@@ -225,7 +223,6 @@ fn deadlines_are_typed_and_slow_io_can_be_simulated() {
     let t0 = std::time::Instant::now();
     s.reload(&path).expect("slow but successful reload");
     assert!(t0.elapsed() >= Duration::from_millis(30));
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
@@ -334,7 +331,8 @@ fn staleness_slo_turns_health_stale_and_a_fresh_admit_clears_it() {
         fail_loads: u32::MAX,
         delay_ms: 0,
     }));
-    let missing = tmp("stale_missing.emb");
+    let dir = TempDir::new("serve-stale-missing").expect("temp dir");
+    let missing = dir.path().join("stale_missing.emb");
     let _ = s.reload(&missing);
     std::thread::sleep(Duration::from_millis(8));
     match s.health().state {

@@ -8,6 +8,10 @@
 //! public so higher layers (e.g. the training checkpoint subsystem) can
 //! embed tensors and stores inside their own framed formats.
 //!
+//! [`Tensor::save`] and [`ParamStore::save`] are atomic: they write
+//! through [`sarn_durable::atomic_write`] (DESIGN.md §8, "Durable
+//! writes"), so a crash leaves the previous file or the complete new one.
+//!
 //! Every fallible operation returns a typed [`IoError`] — a truncated or
 //! corrupt embedding file surfaces as a descriptive error a serving path
 //! can handle, never a panic or an unbounded allocation. For callers in
@@ -16,8 +20,10 @@
 
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::Path;
+
+use sarn_durable::atomic_write;
 
 use crate::params::ParamStore;
 use crate::tensor::Tensor;
@@ -305,12 +311,18 @@ impl TensorExpectation {
 }
 
 impl Tensor {
-    /// Writes this tensor to a file.
+    /// The `SRT1` file image [`Tensor::save`] writes: magic, shape, then
+    /// the row-major payload.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(TENSOR_MAGIC.len() + 8 + self.len() * 4);
+        out.extend_from_slice(TENSOR_MAGIC);
+        write_tensor_to(&mut out, self).expect("Vec writes are infallible");
+        out
+    }
+
+    /// Writes this tensor to a file atomically.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), IoError> {
-        let mut w = BufWriter::new(File::create(path)?);
-        w.write_all(TENSOR_MAGIC)?;
-        write_tensor_to(&mut w, self)?;
-        Ok(w.flush()?)
+        Ok(atomic_write(path.as_ref(), &self.to_bytes())?)
     }
 
     /// Reads a tensor written by [`Tensor::save`].
@@ -362,12 +374,12 @@ impl ParamStore {
         Ok(store)
     }
 
-    /// Writes all parameter names and values (gradients are not persisted).
+    /// Writes all parameter names and values (gradients are not persisted)
+    /// to a file atomically.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), IoError> {
-        let mut w = BufWriter::new(File::create(path)?);
-        w.write_all(STORE_MAGIC)?;
-        self.write_values_to(&mut w)?;
-        Ok(w.flush()?)
+        let mut bytes = STORE_MAGIC.to_vec();
+        self.write_values_to(&mut bytes)?;
+        Ok(atomic_write(path.as_ref(), &bytes)?)
     }
 
     /// Reads a store written by [`ParamStore::save`].
@@ -435,18 +447,19 @@ impl ParamStore {
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("sarn_io_{name}_{}", std::process::id()))
-    }
+    use sarn_durable::{crc32, TempDir};
 
     #[test]
     fn tensor_roundtrips() {
         let t = Tensor::from_vec(2, 3, vec![1.0, -2.5, 3.25, 0.0, f32::MIN_POSITIVE, 1e9]);
-        let p = tmp("tensor");
+        let dir = TempDir::new("io-tensor").unwrap();
+        let p = dir.path().join("tensor");
         t.save(&p).unwrap();
         let back = Tensor::load(&p).unwrap();
         assert_eq!(t, back);
-        std::fs::remove_file(p).ok();
+        // Byte pin of the SRT1 file: length and CRC-32.
+        let bytes = std::fs::read(&p).unwrap();
+        assert_eq!((bytes.len(), crc32(&bytes)), (36, 0x050D_DF6A));
     }
 
     #[test]
@@ -454,21 +467,25 @@ mod tests {
         let mut s = ParamStore::new();
         let a = s.add("layer.w", Tensor::from_vec(2, 2, vec![1., 2., 3., 4.]));
         let b = s.add("layer.b", Tensor::row(&[0.5, -0.5]));
-        let p = tmp("store");
+        let dir = TempDir::new("io-store").unwrap();
+        let p = dir.path().join("store");
         s.save(&p).unwrap();
         let loaded = ParamStore::load(&p).unwrap();
         assert_eq!(loaded.len(), 2);
         assert_eq!(loaded.value(a), s.value(a));
         assert_eq!(loaded.value(b), s.value(b));
         assert_eq!(loaded.name(a), "layer.w");
-        std::fs::remove_file(p).ok();
+        // Byte pin of the SRS1 file: length and CRC-32.
+        let bytes = std::fs::read(&p).unwrap();
+        assert_eq!((bytes.len(), crc32(&bytes)), (70, 0x5287_275C));
     }
 
     #[test]
     fn load_values_from_rejects_layout_mismatch() {
         let mut s = ParamStore::new();
         s.add("w", Tensor::zeros(1, 2));
-        let p = tmp("mismatch");
+        let dir = TempDir::new("io-mismatch").unwrap();
+        let p = dir.path().join("mismatch");
         s.save(&p).unwrap();
         let mut other = ParamStore::new();
         other.add("w", Tensor::zeros(2, 2)); // different shape
@@ -480,7 +497,6 @@ mod tests {
         ok.add("w", Tensor::ones(1, 2));
         ok.load_values_from(&p).unwrap();
         assert_eq!(ok.value(ok.ids().next().unwrap()).data(), &[0.0, 0.0]);
-        std::fs::remove_file(p).ok();
     }
 
     #[test]
@@ -490,7 +506,8 @@ mod tests {
         let mut on_disk = ParamStore::new();
         on_disk.add("a", Tensor::from_vec(1, 2, vec![9.0, 9.0]));
         on_disk.add("b", Tensor::zeros(3, 3));
-        let p = tmp("transactional");
+        let dir = TempDir::new("io-transactional").unwrap();
+        let p = dir.path().join("transactional");
         on_disk.save(&p).unwrap();
         let mut target = ParamStore::new();
         let a = target.add("a", Tensor::from_vec(1, 2, vec![1.0, 2.0]));
@@ -498,7 +515,6 @@ mod tests {
         assert!(target.load_values_from(&p).is_err());
         assert_eq!(target.value(a).data(), &[1.0, 2.0]);
         assert_eq!(target.value(b).data(), &[1.0; 6]);
-        std::fs::remove_file(p).ok();
     }
 
     #[test]
@@ -517,7 +533,8 @@ mod tests {
 
     #[test]
     fn loading_garbage_fails_with_bad_magic() {
-        let p = tmp("garbage");
+        let dir = TempDir::new("io-garbage").unwrap();
+        let p = dir.path().join("garbage");
         std::fs::write(&p, b"not a tensor at all").unwrap();
         assert!(matches!(
             Tensor::load(&p),
@@ -527,7 +544,6 @@ mod tests {
             ParamStore::load(&p),
             Err(IoError::BadMagic { expected: "SRS1" })
         ));
-        std::fs::remove_file(p).ok();
     }
 
     #[test]
@@ -536,7 +552,8 @@ mod tests {
         // header, and inside the payload. Every cut is an error — never a
         // panic, never a partial tensor.
         let t = Tensor::from_vec(4, 4, (0..16).map(|i| i as f32).collect());
-        let p = tmp("trunc");
+        let dir = TempDir::new("io-trunc").unwrap();
+        let p = dir.path().join("trunc");
         t.save(&p).unwrap();
         let full = std::fs::read(&p).unwrap();
         for cut in [0, 2, 4, 6, 9, full.len() - 1] {
@@ -546,7 +563,6 @@ mod tests {
                 other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
             }
         }
-        std::fs::remove_file(p).ok();
     }
 
     #[test]

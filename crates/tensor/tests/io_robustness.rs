@@ -9,9 +9,8 @@
 //! sweep of interior byte offsets, and validation mismatches — and
 //! require a typed [`IoError`] every time.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use proptest::prelude::*;
+use sarn_durable::TempDir;
 use sarn_tensor::io::IoError;
 use sarn_tensor::{Tensor, TensorExpectation};
 
@@ -22,30 +21,27 @@ const COLS: usize = 9;
 /// cols, then `rows * cols` little-endian f32s.
 const HEADER_LEN: usize = 4 + 4 + 4;
 
-/// Writes, reads back and deletes a pristine artifact. Several tests call
-/// this at once on the harness's threads, so each call gets its own path.
+/// Writes a pristine artifact and reads it back.
 fn artifact_bytes() -> Vec<u8> {
-    static CALLS: AtomicUsize = AtomicUsize::new(0);
     let t = Tensor::from_vec(
         ROWS,
         COLS,
         (0..ROWS * COLS).map(|i| (i as f32).sin()).collect(),
     );
-    let call = CALLS.fetch_add(1, Ordering::Relaxed);
-    let p = std::env::temp_dir().join(format!("sarn_io_rob_src_{}_{call}", std::process::id()));
+    let dir = TempDir::new("io-rob-src").expect("temp dir");
+    let p = dir.path().join("pristine.emb");
     t.save(&p).expect("writing the pristine artifact");
     let bytes = std::fs::read(&p).expect("reading the pristine artifact back");
-    std::fs::remove_file(&p).ok();
     assert_eq!(bytes.len(), HEADER_LEN + ROWS * COLS * 4);
     bytes
 }
 
-fn load_cut(full: &[u8], cut: usize, tag: &str) -> Result<Tensor, IoError> {
-    let p = std::env::temp_dir().join(format!("sarn_io_rob_{tag}_{}_{}", std::process::id(), cut));
-    std::fs::write(&p, &full[..cut]).expect("writing the truncated artifact");
-    let r = Tensor::load(&p);
-    std::fs::remove_file(&p).ok();
-    r
+/// Loads `bytes` from a file of its own.
+fn load_bytes(bytes: &[u8]) -> Result<Tensor, IoError> {
+    let dir = TempDir::new("io-rob").expect("temp dir");
+    let p = dir.path().join("artifact.emb");
+    std::fs::write(&p, bytes).expect("writing the artifact");
+    Tensor::load(&p)
 }
 
 /// Every chunk boundary of the format — after the magic, after each header
@@ -58,17 +54,14 @@ fn truncation_at_every_chunk_boundary_is_typed() {
     cuts.extend((HEADER_LEN..full.len()).step_by(4).skip(1));
     for cut in cuts {
         assert!(cut < full.len(), "cut {cut} out of range");
-        match load_cut(&full, cut, "boundary") {
+        match load_bytes(&full[..cut]) {
             Err(IoError::Truncated { .. }) => {}
             other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
         }
     }
     // The untruncated file still loads — the sweep attacked real damage,
     // not a broken fixture.
-    let p = std::env::temp_dir().join(format!("sarn_io_rob_full_{}", std::process::id()));
-    std::fs::write(&p, &full).expect("writing the full artifact");
-    let t = Tensor::load(&p).expect("pristine artifact loads");
-    std::fs::remove_file(p).ok();
+    let t = load_bytes(&full).expect("pristine artifact loads");
     assert_eq!(t.shape(), (ROWS, COLS));
 }
 
@@ -80,7 +73,7 @@ proptest! {
         cut in 0usize..(HEADER_LEN + ROWS * COLS * 4 - 1),
     ) {
         let full = artifact_bytes();
-        match load_cut(&full, cut, "interior") {
+        match load_bytes(&full[..cut]) {
             Err(IoError::Truncated { .. }) => {}
             other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
         }
@@ -93,13 +86,7 @@ proptest! {
         let mut full = artifact_bytes();
         full[0] = full[0].wrapping_add(b0).wrapping_add(1);
         full[1] ^= b1;
-        let p = std::env::temp_dir().join(format!(
-            "sarn_io_rob_magic_{}_{}_{}", std::process::id(), b0, b1
-        ));
-        std::fs::write(&p, &full).expect("writing the corrupted artifact");
-        let r = Tensor::load(&p);
-        std::fs::remove_file(&p).ok();
-        match r {
+        match load_bytes(&full) {
             Err(IoError::BadMagic { expected: "SRT1" }) => {}
             other => panic!("expected BadMagic, got {other:?}"),
         }
@@ -111,7 +98,8 @@ proptest! {
 #[test]
 fn load_validated_rejects_shape_and_finiteness_violations() {
     let t = Tensor::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-    let p = std::env::temp_dir().join(format!("sarn_io_rob_valid_{}", std::process::id()));
+    let dir = TempDir::new("io-rob-valid").expect("temp dir");
+    let p = dir.path().join("artifact.emb");
     t.save(&p).expect("saving the artifact");
 
     // The correct expectation admits it.
@@ -150,5 +138,4 @@ fn load_validated_rejects_shape_and_finiteness_violations() {
     // Unpinned, non-finite-tolerant expectations still admit it.
     let loose = TensorExpectation::default();
     Tensor::load_validated(&p, &loose).expect("loose expectation admits NaN");
-    std::fs::remove_file(p).ok();
 }

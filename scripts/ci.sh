@@ -27,14 +27,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # The training hot path, tensor backend, parallel backend, geometry
 # layer, road-network layer (the spatial join's data source), serving
-# subsystem, ANN index, and telemetry layer must never panic on bad
-# data: unwraps are banned in library code there (tests, via --lib's
+# subsystem, ANN index, telemetry layer, online pipeline and the durable
+# writer must never panic on bad data: unwraps are banned in library code there (tests, via --lib's
 # cfg(test) compilation, still may). Panics become typed TrainError /
 # IoError / GridError / ServeError / AnnError values (telemetry
 # additionally swallows export errors entirely — a metrics failure must
 # never kill a training run).
-step "cargo clippy -D clippy::unwrap_used (sarn-core, sarn-tensor, sarn-par, sarn-geo, sarn-roadnet, sarn-serve, sarn-ann, sarn-obs, sarn-pipeline lib code)"
-cargo clippy -p sarn-core -p sarn-tensor -p sarn-par -p sarn-geo -p sarn-roadnet -p sarn-serve -p sarn-ann -p sarn-obs -p sarn-pipeline --lib -- -D warnings -D clippy::unwrap_used
+step "cargo clippy -D clippy::unwrap_used (sarn-core, sarn-tensor, sarn-par, sarn-geo, sarn-roadnet, sarn-serve, sarn-ann, sarn-obs, sarn-pipeline, sarn-durable lib code)"
+cargo clippy -p sarn-core -p sarn-tensor -p sarn-par -p sarn-geo -p sarn-roadnet -p sarn-serve -p sarn-ann -p sarn-obs -p sarn-pipeline -p sarn-durable --lib -- -D warnings -D clippy::unwrap_used
 
 step "cargo test"
 cargo test -q --workspace

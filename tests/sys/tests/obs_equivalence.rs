@@ -13,14 +13,9 @@
 //! nothing.
 
 use sarn_core::{train, SarnConfig};
+use sarn_durable::TempDir;
 use sarn_obs::ObsConfig;
 use sarn_roadnet::{City, SynthConfig};
-
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("sarn_obs_equiv_{tag}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("creating scratch dir");
-    dir
-}
 
 fn assert_bitwise_equal_runs(threads: usize) {
     let net = SynthConfig::city(City::Chengdu).scaled(0.22).generate();
@@ -31,11 +26,11 @@ fn assert_bitwise_equal_runs(threads: usize) {
     // instrumented leg must come second within the process.
     let plain = train(&net, &cfg);
 
-    let dir = scratch_dir(&format!("t{threads}"));
+    let dir = TempDir::new(&format!("obs-equiv-t{threads}")).expect("temp dir");
     let instrumented = train(
         &net,
         &cfg.clone().with_obs(ObsConfig {
-            export_dir: Some(dir.clone()),
+            export_dir: Some(dir.path().to_path_buf()),
             export_every: 1,
             ..ObsConfig::default()
         }),
@@ -54,7 +49,7 @@ fn assert_bitwise_equal_runs(threads: usize) {
 
     // The instrumented leg must have really recorded: its exports parse
     // and carry the per-epoch training series.
-    let prom = std::fs::read_to_string(dir.join(sarn_obs::PROMETHEUS_FILE))
+    let prom = std::fs::read_to_string(dir.path().join(sarn_obs::PROMETHEUS_FILE))
         .expect("instrumented run exported metrics.prom");
     let samples = sarn_obs::parse_prometheus(&prom).expect("exported Prometheus text parses");
     let epochs = samples
@@ -67,10 +62,9 @@ fn assert_bitwise_equal_runs(threads: usize) {
         "epoch counter {epochs} below {} epochs run",
         plain.epochs_run
     );
-    let json = std::fs::read_to_string(dir.join(sarn_obs::JSON_FILE))
+    let json = std::fs::read_to_string(dir.path().join(sarn_obs::JSON_FILE))
         .expect("instrumented run exported metrics.json");
     sarn_obs::validate_json(&json).expect("exported JSON snapshot validates");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

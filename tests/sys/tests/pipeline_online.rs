@@ -11,6 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sarn_core::{SarnConfig, SpatialJoin, SpatialSimilarity, SpatialSimilarityConfig};
+use sarn_durable::TempDir;
 use sarn_geo::Point;
 use sarn_pipeline::{
     EditBatch, NetworkEdit, Pipeline, PipelineConfig, PipelineFault, PipelineFaultKind,
@@ -22,22 +23,17 @@ fn net() -> RoadNetwork {
     SynthConfig::city(City::Chengdu).scaled(0.22).generate()
 }
 
-fn state_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("sarn-sys-pipeline-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("state dir");
-    dir
-}
-
-fn pipeline_cfg(name: &str, serve: ServeConfig) -> PipelineConfig {
-    let dir = state_dir(name);
+/// A config over a fresh state directory, which lives as long as the
+/// returned guard.
+fn pipeline_cfg(name: &str, serve: ServeConfig) -> (TempDir, PipelineConfig) {
+    let dir = TempDir::new(&format!("sys-pipeline-{name}")).expect("state dir");
     let mut train = SarnConfig::tiny();
     train.max_epochs = 2;
     train.checkpoint_every = 1;
-    train.checkpoint_dir = Some(dir.join("ckpt"));
-    let mut cfg = PipelineConfig::new(train, serve, dir);
+    train.checkpoint_dir = Some(dir.path().join("ckpt"));
+    let mut cfg = PipelineConfig::new(train, serve, dir.path());
     cfg.stage_backoff = Duration::from_millis(1);
-    cfg
+    (dir, cfg)
 }
 
 /// Batch `k`: add two segments, remove one, reclass one — keys chosen so
@@ -108,7 +104,7 @@ fn faulted_online_run_never_serves_a_torn_generation() {
         reload_backoff: Duration::from_millis(1),
         ..ServeConfig::default()
     };
-    let mut cfg = pipeline_cfg("faulted", serve);
+    let (_dir, mut cfg) = pipeline_cfg("faulted", serve);
     cfg.faults = vec![
         PipelineFault {
             batch: 1,
@@ -194,8 +190,8 @@ fn faulted_online_run_never_serves_a_torn_generation() {
 #[test]
 fn killed_pipeline_resumes_to_the_same_state_as_a_continuous_run() {
     let serve = ServeConfig::default();
-    let continuous_cfg = pipeline_cfg("continuous", serve);
-    let resumed_cfg = pipeline_cfg("resumed", serve);
+    let (_continuous_dir, continuous_cfg) = pipeline_cfg("continuous", serve);
+    let (_resumed_dir, resumed_cfg) = pipeline_cfg("resumed", serve);
     let continuous_dir = continuous_cfg.state_dir.clone();
     let resumed_dir = resumed_cfg.state_dir.clone();
 
@@ -248,7 +244,8 @@ fn staleness_slo_fires_on_a_stalled_pipeline_and_clears_on_the_next_batch() {
         max_staleness: Some(Duration::from_millis(30)),
         ..ServeConfig::default()
     };
-    let mut p = Pipeline::new(pipeline_cfg("stale", serve), net()).expect("bootstrap");
+    let (_dir, cfg) = pipeline_cfg("stale", serve);
+    let mut p = Pipeline::new(cfg, net()).expect("bootstrap");
     std::thread::sleep(Duration::from_millis(60));
     let health = p.front().health().expect("serving");
     assert!(

@@ -11,18 +11,11 @@
 
 use sarn_core::checkpoint::{self, Checkpoint};
 use sarn_core::{train, SarnConfig};
+use sarn_durable::TempDir;
 use sarn_roadnet::{City, RoadNetwork, SynthConfig};
-use std::path::PathBuf;
 
 fn tiny_net() -> RoadNetwork {
     SynthConfig::city(City::Chengdu).scaled(0.22).generate()
-}
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sarn_resume_eq_{}_{}", std::process::id(), tag));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// Runs the straight-vs-resumed comparison at one thread count.
@@ -35,25 +28,25 @@ fn assert_resume_equivalent(threads: usize) {
 
     // Run A: 8 epochs straight, checkpointing every epoch (keep all so the
     // epoch-8 artifact survives for comparison).
-    let dir_a = scratch_dir(&format!("straight_t{threads}"));
-    let mut cfg_a = base.clone().with_checkpointing(&dir_a, 1);
+    let dir_a = TempDir::new(&format!("resume-eq-straight-t{threads}")).unwrap();
+    let mut cfg_a = base.clone().with_checkpointing(dir_a.path(), 1);
     cfg_a.checkpoint_keep = 0;
     let straight = train(&net, &cfg_a);
 
     // Run B: 3 epochs (the interrupted leg keeps the full 8-epoch
     // annealing horizon, as a killed job would), then a *fresh* training
     // call resumes from the epoch-3 checkpoint and finishes the rest.
-    let dir_b = scratch_dir(&format!("resumed_t{threads}"));
-    let mut cfg_b1 = base.clone().with_checkpointing(&dir_b, 1);
+    let dir_b = TempDir::new(&format!("resume-eq-resumed-t{threads}")).unwrap();
+    let mut cfg_b1 = base.clone().with_checkpointing(dir_b.path(), 1);
     cfg_b1.checkpoint_keep = 0;
     cfg_b1.max_epochs = 3;
     cfg_b1.schedule_epochs = base.max_epochs;
     let first_leg = train(&net, &cfg_b1);
     assert_eq!(first_leg.epochs_run, 3);
 
-    let ep3 = dir_b.join(checkpoint::checkpoint_file_name(fp, 3));
+    let ep3 = dir_b.path().join(checkpoint::checkpoint_file_name(fp, 3));
     assert!(ep3.is_file(), "missing epoch-3 checkpoint at {ep3:?}");
-    let mut cfg_b2 = base.clone().with_checkpointing(&dir_b, 1);
+    let mut cfg_b2 = base.clone().with_checkpointing(dir_b.path(), 1);
     cfg_b2.checkpoint_keep = 0;
     let resumed = train(&net, &cfg_b2.with_resume_from(&ep3));
 
@@ -72,8 +65,8 @@ fn assert_resume_equivalent(threads: usize) {
     // The epoch-8 checkpoints capture the rest of the state — optimizer
     // moments, momentum encoder, RNG, shuffle order, and the negative
     // queues. Everything except wall-clock time must match exactly.
-    let a = Checkpoint::load(dir_a.join(checkpoint::checkpoint_file_name(fp, 8))).unwrap();
-    let b = Checkpoint::load(dir_b.join(checkpoint::checkpoint_file_name(fp, 8))).unwrap();
+    let a = Checkpoint::load(dir_a.path().join(checkpoint::checkpoint_file_name(fp, 8))).unwrap();
+    let b = Checkpoint::load(dir_b.path().join(checkpoint::checkpoint_file_name(fp, 8))).unwrap();
     assert_eq!(a.meta.fingerprint, b.meta.fingerprint);
     assert_eq!(a.meta.next_epoch, b.meta.next_epoch);
     assert_eq!(a.meta.rng_state, b.meta.rng_state, "RNG states diverged");
@@ -83,9 +76,6 @@ fn assert_resume_equivalent(threads: usize) {
     assert_eq!(a.momentum, b.momentum, "momentum params diverged");
     assert_eq!(a.optim, b.optim, "optimizer state diverged");
     assert_eq!(a.queues, b.queues, "queue contents diverged");
-
-    std::fs::remove_dir_all(&dir_a).ok();
-    std::fs::remove_dir_all(&dir_b).ok();
 }
 
 #[test]
@@ -101,7 +91,7 @@ fn resume_is_bitwise_identical_parallel() {
 #[test]
 fn auto_resume_picks_up_the_latest_compatible_checkpoint() {
     let net = tiny_net();
-    let dir = scratch_dir("auto");
+    let dir = TempDir::new("resume-eq-auto").unwrap();
     let mut base = SarnConfig::tiny().with_num_threads(1);
     base.max_epochs = 6;
     base.patience = 100;
@@ -111,11 +101,11 @@ fn auto_resume_picks_up_the_latest_compatible_checkpoint() {
 
     // Interrupted run: 2 epochs (same 6-epoch annealing horizon), then
     // auto-resume from the directory.
-    let mut leg1 = base.clone().with_checkpointing(&dir, 2);
+    let mut leg1 = base.clone().with_checkpointing(dir.path(), 2);
     leg1.max_epochs = 2;
     leg1.schedule_epochs = base.max_epochs;
     train(&net, &leg1);
-    let mut leg2 = base.clone().with_checkpointing(&dir, 2);
+    let mut leg2 = base.clone().with_checkpointing(dir.path(), 2);
     leg2.resume_auto = true;
     let resumed = train(&net, &leg2);
 
@@ -124,12 +114,10 @@ fn auto_resume_picks_up_the_latest_compatible_checkpoint() {
 
     // Rolling retention: default keep = 3, and only same-run checkpoints
     // count. Epochs 2, 4, 6 were saved; all fit.
-    let files = checkpoint::list_checkpoints(&dir, Some(base.fingerprint()));
+    let files = checkpoint::list_checkpoints(dir.path(), Some(base.fingerprint()));
     assert_eq!(files.len(), 3, "expected 3 retained checkpoints: {files:?}");
 
     // A config with different trajectory knobs must NOT pick these up.
     let other = base.clone().with_seed(base.seed + 1);
-    assert!(checkpoint::latest_checkpoint(&dir, Some(other.fingerprint())).is_none());
-
-    std::fs::remove_dir_all(&dir).ok();
+    assert!(checkpoint::latest_checkpoint(dir.path(), Some(other.fingerprint())).is_none());
 }

@@ -20,6 +20,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use sarn_durable::TempDir;
 use sarn_geo::Point;
 use sarn_serve::{
     BreakerConfig, BreakerState, Deadline, EmbeddingStore, IndexState, Router, RouterConfig,
@@ -166,9 +167,8 @@ fn chaos_kill_k_of_n_shards_mid_churn_then_recover() {
     let sharded = router.sharded();
     let kill: Vec<usize> = (0..(shards / 2).max(1)).collect();
 
-    let dir = std::env::temp_dir().join(format!("sarn_sys_router_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let bad = dir.join("corrupt.emb");
+    let dir = TempDir::new("sys-router").expect("temp dir");
+    let bad = dir.path().join("corrupt.emb");
     std::fs::write(&bad, b"not an artifact").expect("corrupt artifact");
 
     // Per-shard ceiling readers may observe; bumped *before* each admit.
@@ -314,7 +314,6 @@ fn chaos_kill_k_of_n_shards_mid_churn_then_recover() {
             "shard {s} final generation"
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---- ANN index lifecycle (DESIGN.md §16) --------------------------------
@@ -350,8 +349,7 @@ fn wait_ready(sharded: &ShardedStore, shard: usize, limit: Duration) -> u64 {
 /// load must not be able to perturb a single byte of the artifact.
 #[test]
 fn hnsw_build_is_bitwise_deterministic_at_one_and_four_reader_threads() {
-    let dir = std::env::temp_dir().join(format!("sarn_sys_ann_det_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = TempDir::new("sys-ann-det").expect("temp dir");
     let mut per_run: Vec<Vec<Vec<u8>>> = Vec::new();
     for (run, readers) in [1usize, 4].into_iter().enumerate() {
         let sharded = ShardedStore::new(midpoints(), D, ann_cfg(), SHARDS).expect("sharded store");
@@ -376,7 +374,7 @@ fn hnsw_build_is_bitwise_deterministic_at_one_and_four_reader_threads() {
             }
             for s in 0..sharded.num_shards() {
                 wait_ready(sharded, s, Duration::from_secs(30));
-                let path = dir.join(format!("run{run}_shard{s}.hnsw"));
+                let path = dir.path().join(format!("run{run}_shard{s}.hnsw"));
                 sharded.save_shard_index(s, &path).expect("save index");
                 bytes.push(std::fs::read(&path).expect("read index file"));
             }
@@ -395,7 +393,6 @@ fn hnsw_build_is_bitwise_deterministic_at_one_and_four_reader_threads() {
             "shard {s}: index built under 1 reader differs from 4 readers"
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A corrupted index sidecar mid-reload must cost only the index: the
@@ -409,10 +406,9 @@ fn corrupt_index_sidecar_falls_back_to_exact_scan_then_rebuilds() {
     sharded.admit(&distinguishable()).expect("admit");
     wait_ready(&sharded, 0, Duration::from_secs(30));
 
-    let dir = std::env::temp_dir().join(format!("sarn_sys_ann_chaos_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let artifact = dir.join("shard0.emb");
-    let sidecar = dir.join("shard0.emb.hnsw");
+    let dir = TempDir::new("sys-ann-chaos").expect("temp dir");
+    let artifact = dir.path().join("shard0.emb");
+    let sidecar = dir.path().join("shard0.emb.hnsw");
     let rows = distinguishable().gather_rows(sharded.shard_rows(0));
     rows.save(&artifact).expect("save shard artifact");
     sharded.save_shard_index(0, &sidecar).expect("save sidecar");
@@ -522,5 +518,4 @@ fn corrupt_index_sidecar_falls_back_to_exact_scan_then_rebuilds() {
                       // 16-row shards with ef_search >= n: the ANN answers are exhaustive,
                       // so even the indexed path must match the exact store bitwise.
     assert_exact_serving();
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -20,6 +20,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
+use sarn_durable::TempDir;
 use sarn_serve::{Deadline, EmbeddingStore, ServeConfig, ServeError, ServeState};
 use sarn_tensor::Tensor;
 
@@ -62,13 +63,8 @@ fn churn_under_readers(n_readers: usize) {
         ..ServeConfig::default()
     };
     let store = EmbeddingStore::new(N, D, cfg).expect("valid store");
-    let dir = std::env::temp_dir().join(format!(
-        "sarn_sys_serve_{}r_{}",
-        n_readers,
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("embeddings.emb");
+    let dir = TempDir::new(&format!("sys-serve-{n_readers}r")).expect("temp dir");
+    let path = dir.path().join("embeddings.emb");
 
     artifact(1).save(&path).expect("saving generation 1");
     // The ceiling readers may observe; advanced by the writer *before*
@@ -178,8 +174,6 @@ fn churn_under_readers(n_readers: usize) {
     drop(tickets);
     let knn = store.knn(0, 5, Deadline::unbounded()).expect("knn at rest");
     assert_eq!(knn.neighbors.len(), 5);
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
