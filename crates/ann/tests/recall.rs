@@ -13,8 +13,8 @@
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use sarn_ann::{HnswConfig, HnswIndex};
 
-/// The operating point documented in DESIGN.md §16 and asserted on by
-/// CI's `load_gen_smoke`.
+/// The operating point documented in DESIGN.md §16 (`ServeConfig`'s
+/// default `ann_ef_search`).
 const EF_SEARCH: usize = 64;
 const K: usize = 10;
 

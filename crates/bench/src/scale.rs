@@ -25,10 +25,6 @@ pub struct ExperimentScale {
     /// Worker threads for the parallel compute backend (`SARN_NUM_THREADS`;
     /// `0` = automatic, `1` = serial).
     pub num_threads: usize,
-    /// `A^s` spatial-join strategy (`SARN_SPATIAL_JOIN`: `grid` |
-    /// `reference`; default `grid` — both build the identical edge list,
-    /// the reference all-pairs scan is the O(n^2) equivalence oracle).
-    pub spatial_join: sarn_core::SpatialJoin,
     /// Checkpoint directory (`SARN_CKPT_DIR`; unset = no checkpointing).
     pub ckpt_dir: Option<std::path::PathBuf>,
     /// Save a checkpoint every this many epochs (`SARN_CKPT_EVERY`,
@@ -81,7 +77,6 @@ impl ExperimentScale {
             traj_count: get("SARN_TRAJ_COUNT", 140.0) as usize,
             max_traj_segments: get("SARN_MAX_TRAJ_SEGMENTS", 30.0) as usize,
             num_threads: get("SARN_NUM_THREADS", 1.0) as usize,
-            spatial_join: sarn_core::SpatialJoin::from_env(),
             ckpt_dir: std::env::var("SARN_CKPT_DIR")
                 .ok()
                 .filter(|v| !v.is_empty())
@@ -142,7 +137,6 @@ impl ExperimentScale {
         cfg.patience = (self.epochs as u32 / 3).max(3);
         cfg.seed = seed;
         cfg.num_threads = self.num_threads;
-        cfg.similarity.join = self.spatial_join;
         if let Some(dir) = &self.ckpt_dir {
             cfg = cfg.with_checkpointing(dir, self.ckpt_every);
             cfg.checkpoint_keep = self.ckpt_keep;
@@ -191,7 +185,6 @@ mod tests {
             traj_count: 20,
             max_traj_segments: 15,
             num_threads: 1,
-            spatial_join: Default::default(),
             ckpt_dir: None,
             ckpt_every: 5,
             ckpt_keep: 3,
@@ -224,7 +217,6 @@ mod tests {
             traj_count: 20,
             max_traj_segments: 15,
             num_threads: 1,
-            spatial_join: Default::default(),
             ckpt_dir: Some("/tmp/sarn-ckpts".into()),
             ckpt_every: 4,
             ckpt_keep: 2,

@@ -169,9 +169,8 @@ pub struct SarnConfig {
     /// by default; a healthy watched run is bitwise-identical to an
     /// unwatched one, so these knobs are *not* fingerprinted.
     pub watchdog: WatchdogConfig,
-    /// Deterministic fault injection for watchdog tests and the
-    /// `watchdog_smoke` bench binary (never set in real runs; excluded
-    /// from the fingerprint).
+    /// Deterministic fault injection for watchdog and pipeline tests
+    /// (never set in real runs; excluded from the fingerprint).
     pub fault: Option<FaultSpec>,
     /// Telemetry (see [`sarn_obs`]): counters/histograms/spans plus the
     /// event journal and periodic file exports. Disabled by default;
@@ -273,14 +272,6 @@ impl SarnConfig {
     /// (`0` = automatic, `1` = serial, `n` = exactly `n`).
     pub fn with_num_threads(mut self, n: usize) -> Self {
         self.num_threads = n;
-        self
-    }
-
-    /// Sets the `A^s` spatial-join strategy (`Reference` = all-pairs
-    /// oracle, `Grid` = bucketed near-linear join; bit-identical output,
-    /// so not fingerprinted).
-    pub fn with_spatial_join(mut self, join: crate::similarity::SpatialJoin) -> Self {
-        self.similarity.join = join;
         self
     }
 
@@ -477,12 +468,9 @@ mod tests {
         );
         // The spatial-join strategy builds the identical `A^s` edge list
         // either way, so it is likewise excluded.
-        assert_eq!(
-            base.fingerprint(),
-            base.clone()
-                .with_spatial_join(crate::similarity::SpatialJoin::Reference)
-                .fingerprint()
-        );
+        let mut reference_join = base.clone();
+        reference_join.similarity.join = crate::similarity::SpatialJoin::Reference;
+        assert_eq!(base.fingerprint(), reference_join.fingerprint());
         // Gradient clipping reshapes the trajectory; the watchdog does not.
         assert_ne!(
             base.fingerprint(),

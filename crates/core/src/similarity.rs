@@ -60,27 +60,8 @@ pub enum SpatialJoin {
 }
 
 impl SpatialJoin {
-    /// Parses the conventional knob spelling (case-insensitive
-    /// `"reference"`/`"grid"`); anything else is `None`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "reference" | "ref" | "allpairs" => Some(Self::Reference),
-            "grid" => Some(Self::Grid),
-            _ => None,
-        }
-    }
-
-    /// Reads `SARN_SPATIAL_JOIN` from the environment, defaulting to
-    /// `Grid` when unset or unparseable.
-    pub fn from_env() -> Self {
-        std::env::var("SARN_SPATIAL_JOIN")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or_default()
-    }
-
-    /// Stable lowercase label (`"reference"` / `"grid"`), the inverse of
-    /// [`SpatialJoin::parse`].
+    /// Stable lowercase label (`"reference"` / `"grid"`) for test
+    /// messages.
     pub fn label(self) -> &'static str {
         match self {
             Self::Reference => "reference",
@@ -702,16 +683,8 @@ mod tests {
 
     #[test]
     fn spatial_join_parsing_and_labels() {
-        assert_eq!(
-            SpatialJoin::parse("reference"),
-            Some(SpatialJoin::Reference)
-        );
-        assert_eq!(SpatialJoin::parse("REF"), Some(SpatialJoin::Reference));
-        assert_eq!(SpatialJoin::parse("Grid"), Some(SpatialJoin::Grid));
-        assert_eq!(SpatialJoin::parse("kdtree"), None);
-        for j in [SpatialJoin::Reference, SpatialJoin::Grid] {
-            assert_eq!(SpatialJoin::parse(j.label()), Some(j));
-        }
+        assert_eq!(SpatialJoin::Reference.label(), "reference");
+        assert_eq!(SpatialJoin::Grid.label(), "grid");
         assert_eq!(SpatialJoin::default(), SpatialJoin::Grid);
     }
 }

@@ -434,10 +434,10 @@ pub enum FaultKind {
     HugeGrad,
 }
 
-/// Deterministic fault injection for watchdog tests and the
-/// `watchdog_smoke` bench binary: detonates the training run at a chosen
-/// epoch and batch. Excluded from the config fingerprint — it is injected
-/// damage, not a trajectory knob — and never set outside tests/benches.
+/// Deterministic fault injection for watchdog tests and the pipeline's
+/// `DivergingRetrain` fault: detonates the training run at a chosen epoch
+/// and batch. Excluded from the config fingerprint — it is injected
+/// damage, not a trajectory knob — and never set in real runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Epoch to detonate in.

@@ -125,8 +125,8 @@ pub fn export_all(dir: &Path) -> io::Result<[PathBuf; 3]> {
 
 /// Validates that `s` is one complete JSON value (minimal recursive-
 /// descent syntax check; no DOM is built). Used by the torn-export tests
-/// and the `obs_smoke` CI gate — the exporters must only ever produce
-/// parseable files.
+/// and the `obs_equivalence` system test — the exporters must only ever
+/// produce parseable files.
 pub fn validate_json(s: &str) -> Result<(), String> {
     let bytes = s.as_bytes();
     let mut pos = 0usize;
@@ -302,8 +302,8 @@ pub struct PromSample {
 
 /// Parses Prometheus text exposition into samples, validating the line
 /// grammar (comments pass through, every sample line must be
-/// `name[{labels}] value`). The `obs_smoke` gate drives this over the
-/// real export to prove a scraper could.
+/// `name[{labels}] value`). The `obs_equivalence` system test drives this
+/// over the real export to prove a scraper could.
 pub fn parse_prometheus(text: &str) -> Result<Vec<PromSample>, String> {
     let mut samples = Vec::new();
     for (lineno, line) in text.lines().enumerate() {

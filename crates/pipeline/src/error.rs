@@ -139,19 +139,6 @@ pub enum PipelineFaultKind {
     ReloadIoFault,
 }
 
-impl PipelineFaultKind {
-    /// Stable lowercase label for journal events and smoke-test output.
-    pub fn label(self) -> &'static str {
-        match self {
-            PipelineFaultKind::CorruptEditRecord => "corrupt_edit_record",
-            PipelineFaultKind::MidRepairCrash => "mid_repair_crash",
-            PipelineFaultKind::DivergingRetrain => "diverging_retrain",
-            PipelineFaultKind::TornExport => "torn_export",
-            PipelineFaultKind::ReloadIoFault => "reload_io_fault",
-        }
-    }
-}
-
 /// One scheduled sabotage: `kind` fires while the pipeline processes
 /// `batch` (1-based batch ordinal; `0` targets the bootstrap
 /// train/export/reload pass).

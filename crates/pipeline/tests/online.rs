@@ -113,6 +113,10 @@ fn every_fault_kind_is_absorbed_without_losing_a_generation() {
         },
         PipelineFault {
             batch: 2,
+            kind: PipelineFaultKind::MidRepairCrash,
+        },
+        PipelineFault {
+            batch: 2,
             kind: PipelineFaultKind::ReloadIoFault,
         },
         PipelineFault {
@@ -127,7 +131,7 @@ fn every_fault_kind_is_absorbed_without_losing_a_generation() {
     assert!(!r1.used_fallback);
     let r2 = p
         .process_batch(&mixed_batch(&p, 911))
-        .expect("reload fault absorbed");
+        .expect("repair crash and reload fault absorbed");
     assert_eq!(r2.generation, 3);
     // The diverging retrain falls back to last-known-good parameters
     // instead of failing the batch.

@@ -54,9 +54,6 @@ pub enum ServeError {
     /// built from the network's bounding box and the configured cell
     /// side.
     Grid(GridError),
-    /// A `SARN_SERVE_*` environment knob held a malformed value — named,
-    /// not silently defaulted (see [`crate::ConfigError`]).
-    Config(crate::ConfigError),
     /// Too few shards answered a fan-out query: fewer than the router's
     /// configured minimum contributed results, so not even a partial
     /// answer is available. Responses *above* the minimum succeed and
@@ -110,7 +107,6 @@ impl fmt::Display for ServeError {
                 write!(f, "embedding row {row} rejected: {defect}")
             }
             ServeError::Grid(e) => write!(f, "serving grid rejected: {e}"),
-            ServeError::Config(e) => write!(f, "serving config rejected: {e}"),
             ServeError::PartialCoverage {
                 answered,
                 total,
@@ -133,16 +129,9 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::Load(e) => Some(e),
             ServeError::Grid(e) => Some(e),
-            ServeError::Config(e) => Some(e),
             ServeError::Index(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<crate::ConfigError> for ServeError {
-    fn from(e: crate::ConfigError) -> Self {
-        ServeError::Config(e)
     }
 }
 

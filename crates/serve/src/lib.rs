@@ -28,12 +28,12 @@
 //!   intervals.
 //! - **Bounded admission and load shedding.** A fixed in-flight budget
 //!   sheds excess requests with a typed [`ServeError::Overloaded`].
-//! - **Staleness SLO.** With [`ServeConfig::max_staleness`] set (env:
-//!   `SARN_SERVE_MAX_STALENESS_S`), a generation that outlives its budget
-//!   turns the health report [`ServeState::Stale`] — queries keep being
-//!   served, but the breach is journaled and counted
-//!   (`sarn_serve_stale_total`) once per generation so the online pipeline
-//!   (or an operator) reacts. A fresh admission clears the state.
+//! - **Staleness SLO.** With [`ServeConfig::max_staleness`] set, a
+//!   generation that outlives its budget turns the health report
+//!   [`ServeState::Stale`] — queries keep being served, but the breach is
+//!   journaled and counted (`sarn_serve_stale_total`) once per generation
+//!   so the online pipeline (or an operator) reacts. A fresh admission
+//!   clears the state.
 //!
 //! On top of the single store sits **fault-isolated sharded serving**
 //! (DESIGN.md §15): a [`ShardedStore`] geo-partitions the network's
@@ -74,7 +74,7 @@ mod shard;
 mod store;
 
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker, Transition};
-pub use config::{ConfigError, LoadFault, RouterConfig, ServeConfig};
+pub use config::{LoadFault, RouterConfig, ServeConfig};
 pub use deadline::Deadline;
 pub use error::ServeError;
 pub use router::{Coverage, RoutedKnn, Router, ShardCoverage, ShardFault, ShardOutcome};

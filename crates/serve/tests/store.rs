@@ -340,28 +340,3 @@ fn staleness_slo_turns_health_stale_and_a_fresh_admit_clears_it() {
         other => panic!("expected Degraded, got {other:?}"),
     }
 }
-
-#[test]
-fn staleness_env_knob_parses_and_zero_disables() {
-    // Not set (or zero): no SLO.
-    std::env::remove_var("SARN_SERVE_MAX_STALENESS_S");
-    assert!(ServeConfig::from_env()
-        .expect("unset")
-        .max_staleness
-        .is_none());
-    std::env::set_var("SARN_SERVE_MAX_STALENESS_S", "0");
-    assert!(ServeConfig::from_env()
-        .expect("zero")
-        .max_staleness
-        .is_none());
-    std::env::set_var("SARN_SERVE_MAX_STALENESS_S", "2.5");
-    assert_eq!(
-        ServeConfig::from_env().expect("fractional").max_staleness,
-        Some(Duration::from_secs_f64(2.5))
-    );
-    // Garbage is a typed error naming the knob, not a silent default.
-    std::env::set_var("SARN_SERVE_MAX_STALENESS_S", "forever");
-    let err = ServeConfig::from_env().expect_err("malformed staleness");
-    assert_eq!(err.var, "SARN_SERVE_MAX_STALENESS_S");
-    std::env::remove_var("SARN_SERVE_MAX_STALENESS_S");
-}

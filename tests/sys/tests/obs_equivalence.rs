@@ -10,12 +10,35 @@
 //! parallel sections too. A third check asserts the exports the
 //! instrumented leg wrote actually parse and carry the training series,
 //! so the equivalence is not won by telemetry silently recording
-//! nothing.
+//! nothing. A last check serves the instrumented artifact and requires
+//! the serving series and journal events in a fresh export.
+
+use std::path::Path;
 
 use sarn_core::{train, SarnConfig};
 use sarn_durable::TempDir;
-use sarn_obs::ObsConfig;
+use sarn_obs::{ObsConfig, PromSample};
 use sarn_roadnet::{City, SynthConfig};
+use sarn_serve::{Deadline, EmbeddingStore, ServeConfig};
+
+/// Lookups and k-NN queries the serving check issues, each.
+const QUERIES: usize = 100;
+
+/// Reads and parses the Prometheus export in `dir`.
+fn exported_samples(dir: &Path) -> Vec<PromSample> {
+    let prom = std::fs::read_to_string(dir.join(sarn_obs::PROMETHEUS_FILE))
+        .expect("metrics.prom exported");
+    sarn_obs::parse_prometheus(&prom).expect("exported Prometheus text parses")
+}
+
+/// The value of series `name`, which must be exported.
+fn value_of(samples: &[PromSample], name: &str) -> f64 {
+    samples
+        .iter()
+        .find(|s| s.name == name)
+        .unwrap_or_else(|| panic!("{name} missing from the export"))
+        .value
+}
 
 fn assert_bitwise_equal_runs(threads: usize) {
     let net = SynthConfig::city(City::Chengdu).scaled(0.22).generate();
@@ -49,14 +72,7 @@ fn assert_bitwise_equal_runs(threads: usize) {
 
     // The instrumented leg must have really recorded: its exports parse
     // and carry the per-epoch training series.
-    let prom = std::fs::read_to_string(dir.path().join(sarn_obs::PROMETHEUS_FILE))
-        .expect("instrumented run exported metrics.prom");
-    let samples = sarn_obs::parse_prometheus(&prom).expect("exported Prometheus text parses");
-    let epochs = samples
-        .iter()
-        .find(|s| s.name == "sarn_train_epochs_total")
-        .expect("sarn_train_epochs_total present")
-        .value;
+    let epochs = value_of(&exported_samples(dir.path()), "sarn_train_epochs_total");
     assert!(
         epochs >= plain.epochs_run as f64,
         "epoch counter {epochs} below {} epochs run",
@@ -65,6 +81,57 @@ fn assert_bitwise_equal_runs(threads: usize) {
     let json = std::fs::read_to_string(dir.path().join(sarn_obs::JSON_FILE))
         .expect("instrumented run exported metrics.json");
     sarn_obs::validate_json(&json).expect("exported JSON snapshot validates");
+
+    // Serving records too: reload the artifact into a store, query it,
+    // and find the serving series and journal events, next to the
+    // training ones, in a fresh export.
+    let artifact = dir.path().join("embeddings.emb");
+    instrumented
+        .embeddings
+        .save(&artifact)
+        .expect("saving the artifact");
+    let store = EmbeddingStore::for_network(&net, cfg.d, ServeConfig::default())
+        .expect("building the store");
+    store.reload(&artifact).expect("reloading the artifact");
+    let n = net.num_segments();
+    for i in 0..QUERIES {
+        store
+            .embedding(i % n, Deadline::unbounded())
+            .expect("lookup");
+        store.knn(i % n, 5, Deadline::unbounded()).expect("knn");
+    }
+    let metrics = store
+        .health()
+        .metrics
+        .expect("telemetry is on: health carries metrics");
+    assert!(metrics.counter("sarn_serve_reloads_ok_total") >= Some(1));
+    sarn_obs::export_all(dir.path()).expect("re-exporting");
+    let samples = exported_samples(dir.path());
+    assert!(value_of(&samples, "sarn_train_epoch_seconds_count") >= plain.epochs_run as f64);
+    assert!(value_of(&samples, "sarn_train_batch_seconds_count") > 0.0);
+    for series in [
+        "sarn_serve_lookup_seconds_count",
+        "sarn_serve_knn_exact_seconds_count",
+    ] {
+        let value = value_of(&samples, series);
+        assert!(
+            value >= QUERIES as f64,
+            "{series} = {value}, below the {QUERIES} issued queries"
+        );
+    }
+    let events = std::fs::read_to_string(dir.path().join(sarn_obs::EVENTS_FILE))
+        .expect("re-exported events.jsonl");
+    for line in events.lines() {
+        sarn_obs::validate_json(line).expect("every journal line is valid JSON");
+    }
+    for kind in ["epoch_summary", "reload_ok"] {
+        assert!(
+            events
+                .lines()
+                .any(|line| line.contains(&format!("\"type\":\"{kind}\""))),
+            "no `{kind}` event in events.jsonl"
+        );
+    }
 }
 
 #[test]

@@ -12,12 +12,10 @@ use std::time::Duration;
 
 use sarn_core::{SarnConfig, SpatialJoin, SpatialSimilarity, SpatialSimilarityConfig};
 use sarn_durable::TempDir;
-use sarn_geo::Point;
-use sarn_pipeline::{
-    EditBatch, NetworkEdit, Pipeline, PipelineConfig, PipelineFault, PipelineFaultKind,
-};
-use sarn_roadnet::{City, HighwayClass, RoadNetwork, SynthConfig};
+use sarn_pipeline::{Pipeline, PipelineConfig, PipelineFault, PipelineFaultKind};
+use sarn_roadnet::{City, RoadNetwork, SynthConfig};
 use sarn_serve::{ServeConfig, ServeState};
+use sarn_sys_tests::mixed_batch;
 
 fn net() -> RoadNetwork {
     SynthConfig::city(City::Chengdu).scaled(0.22).generate()
@@ -36,39 +34,9 @@ fn pipeline_cfg(name: &str, serve: ServeConfig) -> (TempDir, PipelineConfig) {
     (dir, cfg)
 }
 
-/// Batch `k`: add two segments, remove one, reclass one — keys chosen so
-/// consecutive batches never collide.
+/// Batch `k`'s wire bytes, with added keys from 10,000 up.
 fn batch_bytes(p: &Pipeline, k: u64) -> Vec<u8> {
-    let live = p.live();
-    let n = live.network().num_segments();
-    let anchor_a = (7 * k as usize + 3) % n;
-    let anchor_b = (11 * k as usize + 19) % n;
-    let add = |key: u64, anchor: usize, dlat: f64, dlon: f64| {
-        let s = live.network().segment(anchor);
-        NetworkEdit::SegmentAdd {
-            key,
-            class: HighwayClass::Tertiary,
-            start: s.end,
-            end: Point {
-                lat: s.end.lat + dlat,
-                lon: s.end.lon + dlon,
-            },
-            in_neighbors: vec![live.key_of(anchor)],
-            out_neighbors: vec![],
-        }
-    };
-    EditBatch::new(vec![
-        add(10_000 + 2 * k, anchor_a, 4e-4, -2e-4),
-        add(10_001 + 2 * k, anchor_b, -3e-4, 3e-4),
-        NetworkEdit::SegmentRemove {
-            key: live.key_of((5 * k as usize + 31) % n),
-        },
-        NetworkEdit::ReclassSegment {
-            key: live.key_of((3 * k as usize + 17) % n),
-            class: HighwayClass::Primary,
-        },
-    ])
-    .encode()
+    mixed_batch(p.live(), k, 10_000).encode()
 }
 
 /// Asserts the incrementally repaired `A^s` is bitwise identical to full

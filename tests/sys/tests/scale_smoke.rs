@@ -13,10 +13,14 @@
 //! The always-run test uses a small lattice. The `scale 2.0` test (~9k
 //! segments, one epoch per join mode) is `#[ignore]` — debug-mode
 //! training at that size would dominate the default suite — and runs in
-//! release from `scripts/ci.sh` via `-- --ignored`.
+//! release from `scripts/ci.sh` via `-- --ignored`. At that size it also
+//! edits the network through `LiveNetwork` and requires the localized
+//! `A^s` repair to equal a from-scratch join bit for bit.
 
-use sarn_core::{train, SarnConfig, SarnTrained, SpatialJoin};
+use sarn_core::{train, SarnConfig, SarnTrained, SpatialJoin, SpatialSimilarity};
+use sarn_pipeline::LiveNetwork;
 use sarn_roadnet::{City, RoadNetwork, SynthConfig};
+use sarn_sys_tests::mixed_batch;
 
 /// Peak-RSS ceiling for the scale-2.0 leg: both one-epoch runs (grid and
 /// all-pairs reference) must fit. The measured peak is ~249 MB at 8,867
@@ -56,8 +60,10 @@ fn join_modes_train_identically_on_a_small_lattice() {
 
 /// The headline scale leg: ~9k segments (`SARN_NET_SCALE=2.0`
 /// equivalent), one epoch per join mode, identical bits, bounded peak
-/// RSS. Ignored by default — debug-mode training at this size is far too
-/// slow for the tier-1 suite; `scripts/ci.sh` runs it in release.
+/// RSS; then 16 edit batches repaired in place must leave the same `A^s`
+/// as a grid join of the edited network. Ignored by default — debug-mode
+/// training at this size is far too slow for the tier-1 suite;
+/// `scripts/ci.sh` runs it in release.
 #[test]
 #[ignore = "scale-2.0 training; run in release via scripts/ci.sh (--ignored)"]
 fn scale_two_join_modes_train_identically_within_memory_budget() {
@@ -74,4 +80,17 @@ fn scale_two_join_modes_train_identically_within_memory_budget() {
             "peak RSS {peak} bytes exceeds the {SCALE2_PEAK_RSS_BUDGET_BYTES}-byte budget"
         );
     }
+
+    let sim = SarnConfig::small().similarity;
+    let mut live = LiveNetwork::new(net, &sim);
+    for k in 1..=16 {
+        let batch = mixed_batch(&live, k, 50_000);
+        live.apply(&batch)
+            .unwrap_or_else(|e| panic!("batch {k} rejected: {e}"));
+    }
+    let rebuilt = SpatialSimilarity::build(live.network(), &sim);
+    assert!(
+        live.spatial_edges() == rebuilt.edges(),
+        "incremental A^s diverged from the full rebuild after 16 batches"
+    );
 }
