@@ -934,38 +934,41 @@ fn segment_weighted_sum_value(
 }
 
 fn segment_softmax_value(scores: &Tensor, seg: &[usize], nseg: usize) -> Tensor {
-    // Per-segment max and exp-sum, partitioned by segment id: each range
-    // owner scans the whole edge list in ascending order, so the per-segment
-    // accumulation order matches the serial pass exactly.
+    // Per-segment max, partitioned by segment id: each range owner scans the
+    // whole edge list in ascending order, so the per-segment order matches
+    // the serial pass exactly.
     let gate = par_gate(seg.len() >= PAR_MIN_EDGES);
-    let parts = sarn_par::par_ranges(nseg, gate, |r| {
+    let maxes = sarn_par::par_flat_ranges(nseg, gate, |r| {
         let mut maxes = vec![f32::NEG_INFINITY; r.len()];
         for (e, &s) in seg.iter().enumerate() {
             if r.contains(&s) {
                 maxes[s - r.start] = maxes[s - r.start].max(scores.at(e, 0));
             }
         }
-        let mut sums = vec![0.0f32; r.len()];
-        for (e, &s) in seg.iter().enumerate() {
-            if r.contains(&s) {
-                sums[s - r.start] += (scores.at(e, 0) - maxes[s - r.start]).exp();
-            }
-        }
-        (maxes, sums)
+        maxes
     });
-    let mut maxes = Vec::with_capacity(nseg);
-    let mut sums = Vec::with_capacity(nseg);
-    for (m, s) in parts {
-        maxes.extend(m);
-        sums.extend(s);
-    }
-    // The normalized weights are then elementwise over edges.
+    // Each edge's exp, once, over edge ranges.
     let mut out = vec![0.0f32; seg.len()];
     sarn_par::par_chunks_mut(&mut out, 1, gate, |offset, chunk| {
         for (i, o) in chunk.iter_mut().enumerate() {
             let e = offset + i;
-            let s = seg[e];
-            *o = (scores.at(e, 0) - maxes[s]).exp() / sums[s];
+            *o = (scores.at(e, 0) - maxes[seg[e]]).exp();
+        }
+    });
+    // Per-segment sums of the stored exps, in ascending edge order.
+    let sums = sarn_par::par_flat_ranges(nseg, gate, |r| {
+        let mut sums = vec![0.0f32; r.len()];
+        for (&s, &x) in seg.iter().zip(&out) {
+            if r.contains(&s) {
+                sums[s - r.start] += x;
+            }
+        }
+        sums
+    });
+    // The normalized weights are then elementwise over edges.
+    sarn_par::par_chunks_mut(&mut out, 1, gate, |offset, chunk| {
+        for (i, o) in chunk.iter_mut().enumerate() {
+            *o /= sums[seg[offset + i]];
         }
     });
     Tensor::from_vec(seg.len(), 1, out)
@@ -984,19 +987,41 @@ fn gat_scores_value(wx: &Tensor, hn: &Tensor, a: &Tensor, center_src: &[usize]) 
     let (a_c, a_n) = a.data().split_at(d);
     let mut out = vec![0.0f32; center_src.len()];
     let gate = par_gate(center_src.len() >= PAR_MIN_EDGES);
-    let mut center_half = vec![0.0f32; wx.rows()];
-    let mut done = vec![false; wx.rows()];
+    // Each center's half of the chain, once per center, four centers at a
+    // time; every edge then continues its center's half over its neighbour
+    // row, four edges at a time.
+    let mut is_center = vec![false; wx.rows()];
     for &c in center_src {
-        if !done[c] {
-            center_half[c] = crate::kernels::continue_chain(0.0, wx.row_slice(c), a_c);
-            done[c] = true;
+        is_center[c] = true;
+    }
+    let centers: Vec<usize> = (0..wx.rows()).filter(|&c| is_center[c]).collect();
+    let mut center_half = vec![0.0f32; wx.rows()];
+    let mut quads = centers.chunks_exact(4);
+    for quad in &mut quads {
+        let rows = [quad[0], quad[1], quad[2], quad[3]];
+        let halves = crate::kernels::continue_chains4([0.0; 4], rows.map(|c| wx.row_slice(c)), a_c);
+        for (c, h) in rows.into_iter().zip(halves) {
+            center_half[c] = h;
         }
     }
+    for &c in quads.remainder() {
+        center_half[c] = crate::kernels::continue_chain(0.0, wx.row_slice(c), a_c);
+    }
     sarn_par::par_chunks_mut(&mut out, 1, gate, |offset, chunk| {
-        for (i, o) in chunk.iter_mut().enumerate() {
-            let e = offset + i;
-            let acc = center_half[center_src[e]];
-            *o = crate::kernels::continue_chain(acc, hn.row_slice(e), a_n);
+        let mut quads = chunk.chunks_exact_mut(4);
+        let mut e = offset;
+        for quad in &mut quads {
+            let edges = [e, e + 1, e + 2, e + 3];
+            quad.copy_from_slice(&crate::kernels::continue_chains4(
+                edges.map(|e| center_half[center_src[e]]),
+                edges.map(|e| hn.row_slice(e)),
+                a_n,
+            ));
+            e += 4;
+        }
+        for (i, o) in quads.into_remainder().iter_mut().enumerate() {
+            let acc = center_half[center_src[e + i]];
+            *o = crate::kernels::continue_chain(acc, hn.row_slice(e + i), a_n);
         }
     });
     Tensor::from_vec(center_src.len(), 1, out)
@@ -1007,17 +1032,6 @@ fn gat_scores_value(wx: &Tensor, hn: &Tensor, a: &Tensor, center_src: &[usize]) 
 #[inline]
 fn score_term(g: f32, a: f32) -> f32 {
     0.0 + g * a
-}
-
-/// `out[j] += x[j] * s` for every `j`, skipping zero `x[j]` as `t_matmul`
-/// skips zero lhs entries.
-#[inline]
-fn add_scaled(out: &mut [f32], x: &[f32], s: f32) {
-    for (o, &xv) in out.iter_mut().zip(x) {
-        if xv != 0.0 {
-            *o += xv * s;
-        }
-    }
 }
 
 /// Backward of [`Graph::gat_scores`]: the gradients of `a`, `hn` and `wx`.
@@ -1040,11 +1054,8 @@ fn gat_scores_backward(
         let split = d.saturating_sub(offset).min(chunk.len());
         let (dc, dn) = chunk.split_at_mut(split);
         let (c0, n0) = (offset.min(d), (offset + split).saturating_sub(d));
-        for (e, &c) in center_src.iter().enumerate() {
-            let ge = g.at(e, 0);
-            add_scaled(dc, &wx.row_slice(c)[c0..c0 + dc.len()], ge);
-            add_scaled(dn, &hn.row_slice(e)[n0..n0 + dn.len()], ge);
-        }
+        crate::kernels::column_chains(dc, c0, |e| wx.row_slice(center_src[e]), g.data());
+        crate::kernels::column_chains(dn, n0, |e| hn.row_slice(e), g.data());
     });
     let cols = d.max(1);
     let mut dhn = vec![0.0f32; edges * d];

@@ -160,99 +160,54 @@ impl Tensor {
         self.data[0]
     }
 
-    /// Matrix product `self * rhs`: the `i-k-j` loop, streaming contiguous
-    /// rows of both the accumulator and `rhs` and skipping zero entries of
-    /// `self`.
+    /// Matrix product `self * rhs`: every output's chain runs over
+    /// ascending `k`, skipping zero entries of `self`
+    /// ([`crate::kernels::chains`]).
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul shape mismatch: ({}, {}) x ({}, {})",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let (n, k, m) = (self.rows, self.cols, rhs.cols);
-        let mut out = vec![0.0f32; n * m];
-        let cols = m.max(1);
-        // Row blocks of the output are independent; within a block the
-        // i-k-j order is exactly the serial loop.
-        sarn_par::par_chunks_mut(&mut out, cols, par_min_out(k), |offset, chunk| {
-            let i0 = offset / cols;
-            for (di, orow) in chunk.chunks_mut(cols).enumerate() {
-                let i = i0 + di;
-                let arow = &self.data[i * k..(i + 1) * k];
-                for (kk, &a) in arow.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let brow = &rhs.data[kk * m..(kk + 1) * m];
-                    for (o, &b) in orow.iter_mut().zip(brow.iter()) {
-                        *o += a * b;
-                    }
-                }
-            }
-        });
-        Tensor::from_vec(n, m, out)
+        self.chains::<true>(rhs)
     }
 
-    /// `self^T * rhs` without materializing the transpose.
+    /// `self^T * rhs`: output row `i` chains column `i` of `self`, skipping
+    /// its zero entries, against the rows of `rhs`. `self` is transposed
+    /// once so each output row reads its column contiguously.
     pub fn t_matmul(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(
             self.rows, rhs.rows,
             "t_matmul shape mismatch: ({}, {})^T x ({}, {})",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let (k, n, m) = (self.rows, self.cols, rhs.cols);
-        let mut out = vec![0.0f32; n * m];
-        // Each block owns a contiguous range of output rows and scans the
-        // full `kk` axis in ascending order, applying only the entries that
-        // land in its range — per-element accumulation order is identical
-        // to the serial kk-outer loop.
-        sarn_par::par_chunks_mut(&mut out, m.max(1), par_min_out(k), |offset, chunk| {
-            let (i0, i1) = (offset / m.max(1), (offset + chunk.len()) / m.max(1));
-            for kk in 0..k {
-                let arow = &self.data[kk * n + i0..kk * n + i1];
-                let brow = &rhs.data[kk * m..(kk + 1) * m];
-                for (di, &a) in arow.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let orow = &mut chunk[di * m..(di + 1) * m];
-                    for (o, &b) in orow.iter_mut().zip(brow.iter()) {
-                        *o += a * b;
-                    }
-                }
-            }
-        });
-        Tensor::from_vec(n, m, out)
+        self.transpose().chains::<true>(rhs)
     }
 
     /// `self * rhs^T`.
     ///
     /// Every output is the serial chain `((0 + a_0 b_0) + a_1 b_1) + …` over
-    /// ascending `k`, with no zero-skip.
-    /// The loop transposes `rhs` once and runs `i-k-j`, so the inner loop
-    /// advances every output of a row by one term and vectorizes while each
-    /// chain keeps its order.
+    /// ascending `k`, with no zero-skip. `rhs` is transposed once, so the
+    /// chains run against its rows.
     pub fn matmul_t(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_t shape mismatch: ({}, {}) x ({}, {})^T",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let (n, k, m) = (self.rows, self.cols, rhs.rows);
-        let rhs_t = rhs.transpose();
+        self.chains::<false>(&rhs.transpose())
+    }
+
+    /// `self * rhs` through [`crate::kernels::chains`], split across
+    /// threads by whole output rows.
+    fn chains<const SKIP: bool>(&self, rhs: &Tensor) -> Tensor {
+        let (n, k, m) = (self.rows, self.cols, rhs.cols);
         let mut out = vec![0.0f32; n * m];
         let cols = m.max(1);
         sarn_par::par_chunks_mut(&mut out, cols, par_min_out(k), |offset, chunk| {
-            let i0 = offset / cols;
-            for (di, orow) in chunk.chunks_mut(cols).enumerate() {
-                let arow = &self.data[(i0 + di) * k..(i0 + di + 1) * k];
-                for (kk, &a) in arow.iter().enumerate() {
-                    let brow = &rhs_t.data[kk * m..(kk + 1) * m];
-                    for (o, &b) in orow.iter_mut().zip(brow.iter()) {
-                        *o += a * b;
-                    }
-                }
-            }
+            let (i0, i1) = (offset / cols, (offset + chunk.len()) / cols);
+            let lhs = &self.data[i0 * k..i1 * k];
+            crate::kernels::chains::<SKIP>(chunk, lhs, &rhs.data, k, m);
         });
         Tensor::from_vec(n, m, out)
     }

@@ -14,7 +14,9 @@
 //!   entries in the `d a` sum;
 //! - centers shared by many edges, next to rows whose only in-edge is their
 //!   self-loop;
-//! - head widths from 1 to 13, and the empty edge list.
+//! - head widths from 1 to 13 and around each register tile of the `d a`
+//!   sum (16, 17, 32, 33, 64, 65), edge counts through every remainder of
+//!   the four-edge interleave, and the empty edge list.
 //!
 //! As in the layer, `hn` is gathered from `wx` and also feeds a weighted
 //! sum, so both gradients take contributions from elsewhere in the graph.
@@ -108,6 +110,14 @@ fn case(n: usize, d: usize, hubs: usize, pairs: usize) -> impl Strategy<Value = 
         })
 }
 
+/// A head width: 1 to 13, or one on either side of a register tile width.
+fn head_width() -> impl Strategy<Value = usize> {
+    (0usize..19).prop_map(|i| match i {
+        0..=12 => i + 1,
+        _ => [16, 17, 32, 33, 64, 65][i - 13],
+    })
+}
+
 /// The logits, and the gradients of `wx`, `hn` and `a`, as bits with NaN
 /// folded to one pattern.
 type Bits = [Vec<u32>; 4];
@@ -173,7 +183,7 @@ proptest! {
 
     #[test]
     fn fused_logits_equal_the_gather_concat_matmul_bit_for_bit(
-        c in (1usize..9, 1usize..14, 0usize..40).prop_flat_map(|(n, d, pairs)| {
+        c in (1usize..9, head_width(), 0usize..40).prop_flat_map(|(n, d, pairs)| {
             case(n, d, n.min(3), pairs)
         }),
     ) {
@@ -182,13 +192,13 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Over 2,048 edges and 32 Ki `hn` gradient entries, so the forward,
     /// `d a`, `d hn` and `d wx` all split across threads.
     #[test]
     fn fused_logits_split_across_threads_bit_for_bit(
-        c in (0usize..2).prop_flat_map(|i| case(40, [11, 13][i], 12, 3_000)),
+        c in (0usize..4).prop_flat_map(|i| case(40, [11, 13, 33, 65][i], 12, 3_000)),
     ) {
         check(&c)?;
     }
@@ -208,4 +218,28 @@ fn empty_edge_list_gives_no_logits_and_zero_gradients() {
     let [logits, dwx, dhn, da] = fused(&c);
     assert!(logits.is_empty() && dhn.is_empty());
     assert!(dwx.iter().chain(&da).all(|&b| b == 0.0f32.to_bits()));
+}
+
+/// Every logit chain starts at `+0`: with `wx` all `−0` every term of every
+/// chain is skipped, so each logit is `+0`, and so is each center's half.
+/// Row counts run through every remainder of the four-center interleave.
+#[test]
+fn all_skipped_chains_equal_the_oracle() {
+    for n in 1..=9 {
+        for d in [1, 5, 16, 17, 33] {
+            let e = 2 * n;
+            let center: Vec<usize> = (0..n).chain(0..n).collect();
+            let c = Case {
+                wx: Tensor::full(n, d, -0.0),
+                a: Tensor::full(2 * d, 1, 0.5),
+                center: Rc::new(center),
+                neighbor: (0..n).rev().chain(0..n).collect(),
+                g_scores: Tensor::full(e, 1, 1.0),
+                w_sum: Tensor::full(e, 1, 1.0),
+            };
+            check(&c).unwrap();
+            let [logits, ..] = fused(&c);
+            assert!(logits.iter().all(|&b| b == 0), "{n} rows, width {d}");
+        }
+    }
 }

@@ -35,6 +35,13 @@ for t in 1 2 4; do
   RAYON_NUM_THREADS=$t cargo test -q -p sarn-sys-tests --test parallel_equivalence
 done
 
+# The kernel property suites in release at 4096 cases each: the optimized
+# build is the one that trains, and a rare ±0 or NaN slip in a register
+# tile's tail or a four-edge interleave's remainder needs many draws to
+# surface.
+step "kernel property tests (release, PROPTEST_CASES=4096)"
+PROPTEST_CASES=4096 cargo test -q --release -p sarn-tensor --test kernel_equivalence --test gat_scores
+
 # The scale-2.0 leg (~9k segments, one epoch per join mode, peak-RSS
 # budget, then 16 edit batches whose localized A^s repair must equal a
 # from-scratch join) is #[ignore]d in the tier-1 suite — debug-mode
